@@ -37,6 +37,8 @@
 
 #include "common.hpp"
 #include "core/gpu_array_sort.hpp"
+#include "core/phases.hpp"
+#include "core/plan.hpp"
 #include "simt/cost_model.hpp"
 #include "simt/device.hpp"
 #include "simt/graph.hpp"
@@ -174,9 +176,32 @@ struct EquivCell {
     std::size_t drift = 0;
 };
 
-/// Sorts the same fig4-shaped dataset with Options::graph_launch off and on
-/// under one (exec mode, sanitize) configuration and reports the byte and
-/// deterministic-stats deltas — the graph executor's bit-identical contract.
+/// The loop-of-launches reference for an ascending multi-bucket
+/// gpu_array_sort: its three phase kernels issued one Device::launch at a
+/// time, over the same device buffers allocated in the same order.
+void loop_array_sort(simt::Device& dev, std::span<float> host, std::size_t num_arrays,
+                     std::size_t array_size) {
+    simt::DeviceBuffer<float> data(dev, num_arrays * array_size);
+    simt::copy_to_device(std::span<const float>(host), data);
+    const auto span = data.span();
+    const gas::Options opts;
+    const auto plan = gas::make_plan(array_size, opts, dev.props(), sizeof(float));
+    simt::DeviceBuffer<float> splitters(dev, num_arrays * plan.splitters_per_array);
+    simt::DeviceBuffer<std::uint32_t> sizes(dev, num_arrays * plan.buckets);
+    const std::size_t rows = gas::detail::scratch_rows(dev, plan, num_arrays);
+    simt::DeviceBuffer<float> scratch;
+    if (rows > 0) scratch = simt::DeviceBuffer<float>(dev, rows * array_size);
+    gas::detail::splitter_phase<float>(dev, span, num_arrays, plan, splitters.span());
+    gas::detail::bucket_phase<float>(dev, span, num_arrays, plan, opts, splitters.span(),
+                                     sizes.span(), scratch.span(), rows);
+    gas::detail::sort_phase<float>(dev, span, num_arrays, plan, sizes.span(), opts);
+    simt::copy_to_host(data, host);
+}
+
+/// Sorts the same fig4-shaped dataset with gpu_array_sort (one submitted
+/// graph) and with the loop reference under one (exec mode, sanitize)
+/// configuration and reports the byte and deterministic-stats deltas — the
+/// graph executor's bit-identical contract.
 EquivCell equivalence_cell(const workload::Dataset& ds, simt::ExecMode mode,
                            bool strict) {
     const auto run = [&](bool graph) {
@@ -188,10 +213,12 @@ EquivCell equivalence_cell(const workload::Dataset& ds, simt::ExecMode mode,
             sopts.strict = true;
             dev.set_sanitize_options(sopts);
         }
-        gas::Options opts;
-        opts.graph_launch = graph;
-        gas::gpu_array_sort(dev, std::span<float>(values), ds.num_arrays, ds.array_size,
-                            opts);
+        if (graph) {
+            gas::gpu_array_sort(dev, std::span<float>(values), ds.num_arrays,
+                                ds.array_size);
+        } else {
+            loop_array_sort(dev, std::span<float>(values), ds.num_arrays, ds.array_size);
+        }
         return std::pair{std::move(values),
                          std::vector<simt::KernelStats>(dev.kernel_log().begin(),
                                                         dev.kernel_log().end())};
@@ -359,8 +386,9 @@ int main(int argc, char** argv) {
     ok = ok && graph_ok;
     bench::rule();
 
-    // Bit-identical contract on real fig4-shaped work: graph_launch on vs
-    // off must agree byte-for-byte and stat-for-stat in every configuration.
+    // Bit-identical contract on real fig4-shaped work: the graph and the
+    // loop reference must agree byte-for-byte and stat-for-stat in every
+    // configuration.
     const std::size_t eq_arrays = quick ? 64 : 250;
     const std::size_t eq_size = quick ? 500 : 1000;
     const auto ds = workload::make_dataset(eq_arrays, eq_size,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -15,10 +16,11 @@ namespace gas::detail {
 
 /// A kernel launch described but not yet executed: exactly what
 /// Device::launch takes, packaged so a caller can either launch it
-/// directly (the loop path) or add it as a simt::Graph node (the
-/// graph-launch path).  Spec bodies capture all state by value — spans,
-/// plan scalars, a copy of the options — so a spec safely outlives the
-/// builder's stack frame, which graph execution requires.
+/// directly (the per-phase functions below, the loop reference the sort
+/// graph is checked against) or add it as a simt::Graph node (SortGraph).
+/// Spec bodies capture all state by value — spans, plan scalars, a copy of
+/// the options — so a spec safely outlives the builder's stack frame, which
+/// graph execution requires.
 using KernelSpec = simt::KernelSpec;
 
 /// Sentinel splitters of Definition 5's overlap fix: a value at-or-below
@@ -114,6 +116,29 @@ KernelSpec sort_phase_spec(simt::DeviceProperties props, std::span<T> data,
                            std::span<const std::uint32_t> bucket_sizes,
                            const Options& opts = {});
 
+/// Small-array path (plan.buckets == 1): with a single bucket the three
+/// phases degenerate to "one thread insertion-sorts the whole array", so
+/// 256 arrays are packed into each block (one lane per array) instead of N
+/// one-thread blocks; no splitter/Z temporaries are needed.
+template <typename T>
+KernelSpec small_array_sort_spec(std::span<T> data, std::size_t num_arrays,
+                                 std::size_t array_size);
+
+/// Rows of the global phase-2 staging area for arrays too large to stage in
+/// shared memory: one per resident block (at least one per host worker),
+/// never more than the arrays themselves.  0 when the array fits shared.
+[[nodiscard]] inline std::size_t scratch_rows(const simt::Device& device,
+                                              const SortPlan& plan,
+                                              std::size_t num_arrays) {
+    if (plan.array_fits_shared) return 0;
+    const unsigned conc =
+        device.cost_model().blocks_per_sm(plan.block_threads, /*shared_bytes=*/0);
+    return std::min<std::size_t>(
+        num_arrays,
+        std::max<std::size_t>(static_cast<std::size_t>(device.props().sm_count) * conc,
+                              device.host_workers()));
+}
+
 // Explicit instantiations live in the phase .cpp files.
 #define GAS_DECLARE_PHASES(T)                                                              \
     extern template simt::KernelStats splitter_phase<T>(                                   \
@@ -131,7 +156,9 @@ KernelSpec sort_phase_spec(simt::DeviceProperties props, std::span<T> data,
         std::span<std::uint32_t>, std::span<T>, std::size_t);                              \
     extern template KernelSpec sort_phase_spec<T>(                                         \
         simt::DeviceProperties, std::span<T>, std::size_t, const SortPlan&,                \
-        std::span<const std::uint32_t>, const Options&);
+        std::span<const std::uint32_t>, const Options&);                                   \
+    extern template KernelSpec small_array_sort_spec<T>(std::span<T>, std::size_t,         \
+                                                        std::size_t);
 
 GAS_DECLARE_PHASES(float)
 GAS_DECLARE_PHASES(double)

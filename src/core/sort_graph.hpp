@@ -14,83 +14,88 @@
 
 namespace gas {
 
-/// A built-once, submit-many uniform sort pipeline (DESIGN.md section 14).
+/// The uniform sort pipeline as one built-once, submit-many simt::Graph
+/// (DESIGN.md section 13): (negate) -> phase1 -> phase2 -> dispatch ->
+/// phase3 (-> negate), or (negate) -> small-array sort (-> negate) when the
+/// plan has a single bucket.  Phase 3's launch is emitted by a host decision
+/// node only after phase 2's Z row has settled, so the whole chain runs in
+/// one scheduling round-trip.
 ///
-/// gpu_array_sort's graph path rebuilds the same (negate) -> phase1 ->
-/// phase2 -> dispatch -> phase3 (-> negate) simt::Graph — and reallocates
-/// the S/Z/scratch temporaries — for every call, even though consecutive
-/// serve batches with the same shape produce an identical static graph over
-/// identical device spans.  This holder builds that graph once for a fixed
-/// (data span, num_arrays, array_size, options) tuple and resubmits it per
-/// batch: Device::submit resets the graph's runtime state, the dispatch
-/// host node re-enqueues phase 3 from settled bucket sizes each run, and
-/// the temporaries stay allocated between runs.
+/// sort_arrays_on_device builds one per call and submits it once.  The serve
+/// layer holds one per shard (UniformSortGraph) and resubmits it for
+/// consecutive batches with the same shape: Device::submit resets the
+/// graph's runtime state, the dispatch host node re-enqueues phase 3 from
+/// settled bucket sizes each run, and the S/Z/scratch temporaries stay
+/// allocated between runs.  Every run executes the exact node sequence of a
+/// fresh build over the same spans, so the sorted bytes and every
+/// deterministic KernelStats field match call-for-call
+/// (tests/tune/test_tune.cpp pins this through the serve cache).
 ///
-/// Bit-identity: each run() executes the exact node sequence a fresh
-/// gpu_array_sort graph launch would, over the same spans, so the sorted
-/// bytes and every deterministic KernelStats field match call-for-call
-/// (tests/serve/test_graph_cache.cpp pins this).
-///
-/// The holder handles the fused serve path only: float data, no
-/// validate/verify_output/collect_bucket_sizes (those need per-call host
-/// state; callers keep the one-shot path for them).  Throws
-/// std::invalid_argument when asked for an unsupported combination.
-class UniformSortGraph {
+/// run() covers the kernels only: host-side validation, verify_output and
+/// collect_bucket_sizes are sort_arrays_on_device's job, so a reused holder
+/// must not be asked for them.  Descending order needs a floating-point T
+/// (implemented via IEEE negation); std::invalid_argument otherwise, and for
+/// an empty batch.
+template <typename T>
+class SortGraph {
   public:
     /// Builds the pipeline over `data` (device span, holding at least
     /// num_arrays x array_size elements starting where the caller will stage
-    /// every subsequent batch).  `opts.graph_launch` must be on.
-    UniformSortGraph(simt::Device& device, std::span<float> data,
-                     std::size_t num_arrays, std::size_t array_size,
-                     const Options& opts);
+    /// every subsequent batch).
+    SortGraph(simt::Device& device, std::span<T> data, std::size_t num_arrays,
+              std::size_t array_size, const Options& opts);
 
-    UniformSortGraph(const UniformSortGraph&) = delete;
-    UniformSortGraph& operator=(const UniformSortGraph&) = delete;
+    SortGraph(const SortGraph&) = delete;
+    SortGraph& operator=(const SortGraph&) = delete;
 
-    /// Resubmits the graph over the current contents of the data span.
-    /// Returns the same SortStats a fresh gpu_array_sort graph launch over
-    /// those bytes would.
+    /// Submits the graph over the current contents of the data span and
+    /// returns its SortStats (phases, bucket diagnostics, peak device bytes).
     SortStats run();
 
     /// True when this holder was built for exactly this shape: same device
     /// span (data pointer AND size), geometry and sort-shaping options — the
     /// serve cache-hit predicate.
-    [[nodiscard]] bool matches(const simt::Device& device, std::span<const float> data,
+    [[nodiscard]] bool matches(const simt::Device& device, std::span<const T> data,
                                std::size_t num_arrays, std::size_t array_size,
                                const Options& opts) const;
 
-    [[nodiscard]] const SortPlan& plan() const { return plan_; }
-    [[nodiscard]] std::size_t runs() const { return runs_; }
+    /// Z after the last run (N rows of the plan's bucket count); empty on the
+    /// small-array path.
+    [[nodiscard]] std::span<const std::uint32_t> bucket_sizes() const {
+        return bucket_sizes_.span();
+    }
 
   private:
     simt::Device* device_;
-    std::span<float> span_;
+    std::span<T> span_;
     std::size_t num_arrays_;
     std::size_t array_size_;
     Options opts_;
     SortPlan plan_;
-    bool descending_ = false;
 
     // Temporaries alive for the holder's lifetime (the reuse win: no
     // realloc per batch).  Empty on the small-array path.
-    simt::DeviceBuffer<float> splitters_;
+    simt::DeviceBuffer<T> splitters_;
     simt::DeviceBuffer<std::uint32_t> bucket_sizes_;
-    simt::DeviceBuffer<float> scratch_;
+    simt::DeviceBuffer<T> scratch_;
 
     simt::Graph graph_;
-    // Small-array path (plan.buckets == 1): one packed insertion-sort node.
-    bool small_path_ = false;
-    simt::Graph::NodeId small_node_ = 0;
-    std::vector<simt::Graph::NodeId> negate_nodes_;
-    // Three-phase path.
+    // The node whose stats are phase 3: the small-array sort, or the kernel
+    // the dispatch node enqueued (filled in during each run).
+    std::shared_ptr<simt::Graph::NodeId> sort_node_;
     simt::Graph::NodeId n1_ = 0;
     simt::Graph::NodeId n2_ = 0;
-    simt::Graph::NodeId pre_ = 0;
-    bool has_negate_ = false;
-    std::shared_ptr<simt::Graph::NodeId> n3_;
-    std::shared_ptr<simt::Graph::NodeId> post_;
-
-    std::size_t runs_ = 0;
+    // Descending order's negate passes (pre, and post once enqueued).
+    std::vector<simt::Graph::NodeId> pre_negate_;
+    std::shared_ptr<simt::Graph::NodeId> post_negate_;
 };
+
+/// The serve layer's per-shard reuse cache holds float pipelines.
+using UniformSortGraph = SortGraph<float>;
+
+extern template class SortGraph<float>;
+extern template class SortGraph<double>;
+extern template class SortGraph<std::uint32_t>;
+extern template class SortGraph<std::int32_t>;
 
 }  // namespace gas

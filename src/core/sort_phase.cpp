@@ -94,6 +94,26 @@ simt::KernelStats sort_phase(simt::Device& device, std::span<T> data,
     return device.launch(spec.cfg, spec.body);
 }
 
+template <typename T>
+KernelSpec small_array_sort_spec(std::span<T> data, std::size_t num_arrays,
+                                 std::size_t array_size) {
+    constexpr unsigned kPack = 256;
+    simt::LaunchConfig cfg{"gas.small_array_sort",
+                           static_cast<unsigned>((num_arrays + kPack - 1) / kPack), kPack};
+    auto body = [=](simt::BlockCtx& blk) {
+        const auto sort_lane = [&](simt::ThreadCtx& tc) {
+            const std::size_t a = static_cast<std::size_t>(blk.block_idx()) * kPack + tc.tid();
+            if (a >= num_arrays) return;
+            const std::span<T> row{data.data() + a * array_size, array_size};
+            const InsertionCost cost = insertion_sort(row);
+            tc.ops(cost.compares + cost.moves);
+            tc.global_random(2ull * array_size);
+        };
+        blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(sort_lane); });
+    };
+    return {cfg, std::move(body)};
+}
+
 #define GAS_INSTANTIATE(T)                                                                 \
     template simt::KernelStats sort_phase<T>(simt::Device&, std::span<T>, std::size_t,     \
                                              const SortPlan&,                              \
@@ -102,7 +122,8 @@ simt::KernelStats sort_phase(simt::Device& device, std::span<T> data,
     template KernelSpec sort_phase_spec<T>(simt::DeviceProperties, std::span<T>,           \
                                            std::size_t, const SortPlan&,                   \
                                            std::span<const std::uint32_t>,                 \
-                                           const Options&);
+                                           const Options&);                                \
+    template KernelSpec small_array_sort_spec<T>(std::span<T>, std::size_t, std::size_t);
 GAS_INSTANTIATE(float)
 GAS_INSTANTIATE(double)
 GAS_INSTANTIATE(std::uint32_t)

@@ -44,7 +44,9 @@ enum class Priority : std::uint8_t { High = 0, Normal = 1, Low = 2 };
 }
 
 /// One sort request.  The job owns its data; the server moves it through the
-/// pipeline and hands the sorted vectors back in the Response.
+/// pipeline and hands the sorted vectors back in the Response.  Ragged jobs
+/// sort ascending only: submit() rejects a Ragged job with
+/// SortOrder::Descending (std::invalid_argument).
 struct Job {
     JobKind kind = JobKind::Uniform;
     std::vector<float> values;             ///< rows / CSR values / pair keys

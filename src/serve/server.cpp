@@ -100,6 +100,12 @@ void validate_job(const Job& job) {
             }
             break;
         case JobKind::Ragged: {
+            // The ragged device kernels sort ascending only; a descending
+            // request would come back in a different order from the device
+            // than from the host fallback.
+            if (job.opts.order == SortOrder::Descending) {
+                throw std::invalid_argument("serve: ragged jobs sort ascending only");
+            }
             for (std::size_t i = 1; i < job.offsets.size(); ++i) {
                 if (job.offsets[i] < job.offsets[i - 1]) {
                     throw std::invalid_argument("serve: ragged offsets not ascending");
@@ -876,7 +882,7 @@ void Server::serve_batch(Shard& shard, std::vector<PendingPtr> batch) {
 
     // Transient device errors (gas::resilient::transient — allocation
     // failures, refused launches, detected corruption, failed verification)
-    // retry the whole batch: execute_* completes no promise and touches no
+    // retry the whole batch: execute_batch completes no promise and touches no
     // host buffer before it can throw, so each attempt re-stages clean data.
     // Exhausted retries mean the device is gone: quarantine the shard and
     // re-home its work on the survivors (the last live device host-serves
@@ -885,11 +891,7 @@ void Server::serve_batch(Shard& shard, std::vector<PendingPtr> batch) {
     const unsigned max_attempts = std::max(cfg_.retry.max_attempts, 1u);
     for (unsigned attempt = 1;; ++attempt) {
         try {
-            switch (batch.front()->job.kind) {
-                case JobKind::Uniform: execute_uniform(shard, batch); break;
-                case JobKind::Ragged: execute_ragged(shard, batch); break;
-                case JobKind::Pairs: execute_pairs(shard, batch); break;
-            }
+            execute_batch(shard, batch);
             return;
         } catch (const std::exception& e) {
             if (!gas::resilient::transient(e)) {
@@ -969,7 +971,7 @@ void Server::quarantine_and_reroute(Shard& shard, std::vector<PendingPtr>& batch
     queue_cv_.notify_all();
 }
 
-void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
+void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
     const auto service_start = Clock::now();
     // Brownout L1+: response verification is the first service quality shed
     // under overload (the sort still runs; per-row checks are skipped and
@@ -983,80 +985,141 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
         ++hstats_.verify_skipped_batches;
     }
     simt::Device& device = *shard.device;
-    const std::size_t n = batch.front()->job.array_size;
+    const JobKind kind = batch.front()->job.kind;
+    const bool pairs = kind == JobKind::Pairs;
+    const std::size_t n = batch.front()->job.array_size;  // uniform geometry
+
+    // The fused layout: one slice per request over one float plane (a key
+    // and a payload plane for pairs); ragged batches add one CSR offset
+    // table spanning every request's rows.
     std::size_t total_arrays = 0;
+    std::size_t total_values = 0;
     std::vector<BatchSlice> slices;
     slices.reserve(batch.size());
+    std::vector<std::uint64_t> fused_offsets;
+    if (kind == JobKind::Ragged) fused_offsets.push_back(0);
     for (const auto& p : batch) {
         slices.push_back({total_arrays, p->arrays});
+        if (kind == JobKind::Ragged) {
+            const std::uint64_t base = p->job.offsets.front();
+            for (std::size_t i = 1; i < p->job.offsets.size(); ++i) {
+                fused_offsets.push_back(total_values + (p->job.offsets[i] - base));
+            }
+        }
+        total_values += p->elements;
         total_arrays += p->arrays;
     }
-    const std::size_t count = total_arrays * n;
-    const std::size_t bytes = count * sizeof(float);
+    const std::size_t bytes = total_values * sizeof(float);
+    // A request's rows start here in its host buffer (CSR offsets may not
+    // start at 0); row a spans row_bounds(job, a).
+    const auto first_value = [](const Job& job) -> std::size_t {
+        return job.kind == JobKind::Ragged ? job.offsets.front() : 0;
+    };
+    const auto row_bounds = [](const Job& job, std::size_t a) {
+        return job.kind == JobKind::Ragged
+                   ? std::pair<std::size_t, std::size_t>(job.offsets[a], job.offsets[a + 1])
+                   : std::pair<std::size_t, std::size_t>(a * job.array_size,
+                                                         (a + 1) * job.array_size);
+    };
 
-    const BufferPool::Lease lease = acquire_or_trim(shard, bytes);
-    try {
-        auto view = simt::DeviceBuffer<float>::borrow(device, lease.offset, count);
-        auto dev = view.span();
-        // Expected per-row checksums come from the host copies while staging
-        // — ground truth no device fault can touch.
-        std::vector<std::uint64_t> expected;
-        if (verify) expected.reserve(total_arrays);
-        std::size_t pos = 0;
-        for (const auto& p : batch) {
-            std::memcpy(dev.data() + pos, p->job.values.data(),
-                        p->elements * sizeof(float));
-            if (verify) {
-                for (std::size_t a = 0; a < p->arrays; ++a) {
-                    expected.push_back(resilient::row_checksum(std::span<const float>(
-                        p->job.values.data() + a * n, n)));
+    // Leases go back to the pool on every exit path, throws included; the
+    // normal path returns them before completing any request.
+    struct Leases {
+        BufferPool& pool;
+        BufferPool::Lease held[2] = {};
+        std::size_t count = 0;
+        ~Leases() { release(); }
+        void release() {
+            for (std::size_t i = 0; i < count; ++i) pool.release(held[i]);
+            count = 0;
+        }
+    } leases{shard.pool};
+    const std::size_t planes = pairs ? 2 : 1;
+    for (std::size_t i = 0; i < planes; ++i) {
+        leases.held[i] = acquire_or_trim(shard, bytes);
+        leases.count = i + 1;
+    }
+    auto keys = simt::DeviceBuffer<float>::borrow(device, leases.held[0].offset, total_values);
+    auto vals = pairs ? simt::DeviceBuffer<float>::borrow(device, leases.held[1].offset,
+                                                          total_values)
+                      : simt::DeviceBuffer<float>();
+    float* const kdev = keys.span().data();
+    float* const vdev = vals.span().data();
+
+    // Expected per-row checksums come from the host copies while staging —
+    // ground truth no device fault can touch.
+    std::vector<std::uint64_t> expected;
+    if (verify) expected.reserve(total_arrays);
+    std::size_t pos = 0;
+    for (const auto& p : batch) {
+        const Job& job = p->job;
+        std::memcpy(kdev + pos, job.values.data() + first_value(job),
+                    p->elements * sizeof(float));
+        if (pairs) {
+            std::memcpy(vdev + pos, job.payload.data(), p->elements * sizeof(float));
+        }
+        if (verify) {
+            for (std::size_t a = 0; a < p->arrays; ++a) {
+                const auto [b, e] = row_bounds(job, a);
+                const std::span<const float> row(job.values.data() + b, e - b);
+                expected.push_back(
+                    pairs ? resilient::pair_row_checksum(
+                                row, std::span<const float>(job.payload.data() + b, e - b))
+                          : resilient::row_checksum(row));
+            }
+        }
+        pos += p->elements;
+    }
+    const double h2d = device.transfer_ms(planes * bytes);
+
+    Options opts = batch.front()->job.opts;
+    opts.validate = cfg_.validate;
+    opts.collect_bucket_sizes = false;
+    opts.verify_output = false;  // the server verifies per request below
+
+    // Adaptive tuning: merge the batch members' submit-time sketches and let
+    // the controller reshape the sort-shaping knobs; the representative row
+    // length of the fused batch stands in for array_size.  The server-owned
+    // knobs above stay pinned; with no sketch (auto_tune off at either
+    // level, or a pair batch) the submitted options run untouched.
+    tune::Plan plan;
+    bool tuned = false;
+    {
+        tune::Sketch merged;
+        for (const auto& p : batch) merged.merge(p->sketch);
+        if (!merged.empty()) {
+            std::lock_guard lk(mutex_);
+            plan = controller_.choose(merged, total_values / total_arrays, opts,
+                                      device.props());
+            tuned = true;
+            opts = plan.opts;
+            if (plan.candidate != "paper-default") ++stats_.tuned_batches;
+            if (cfg_.route_policy == gas::fleet::RoutePolicy::KeyRange &&
+                shards_.size() > 1) {
+                // Fleet-level aggregate sketch -> equal-mass KeyRange bands
+                // (the controller returns the interior splits; the domain
+                // bound closes the last device's band).
+                auto bands = controller_.key_bands(shards_.size());
+                if (!bands.empty()) {
+                    bands.push_back(cfg_.key_space_max);
+                    router_.set_key_bands(std::move(bands));
                 }
             }
-            pos += p->elements;
         }
-        const double h2d = device.transfer_ms(bytes);
+    }
 
-        Options opts = batch.front()->job.opts;
-        opts.validate = cfg_.validate;
-        opts.collect_bucket_sizes = false;
-        opts.verify_output = false;  // the server verifies per request below
-
-        // Adaptive tuning: merge the batch members' submit-time sketches and
-        // let the controller reshape the sort-shaping knobs.  The server-
-        // owned knobs above stay pinned; with no sketch (auto_tune off at
-        // either level) the submitted options run untouched.
-        tune::Plan plan;
-        bool tuned = false;
-        {
-            tune::Sketch merged;
-            for (const auto& p : batch) merged.merge(p->sketch);
-            if (!merged.empty()) {
-                std::lock_guard lk(mutex_);
-                plan = controller_.choose(merged, n, opts, device.props());
-                tuned = true;
-                opts = plan.opts;
-                if (plan.candidate != "paper-default") ++stats_.tuned_batches;
-                if (cfg_.route_policy == gas::fleet::RoutePolicy::KeyRange &&
-                    shards_.size() > 1) {
-                    // Fleet-level aggregate sketch -> equal-mass KeyRange
-                    // bands (the controller returns the interior splits; the
-                    // domain bound closes the last device's band).
-                    auto bands = controller_.key_bands(shards_.size());
-                    if (!bands.empty()) {
-                        bands.push_back(cfg_.key_space_max);
-                        router_.set_key_bands(std::move(bands));
-                    }
-                }
-            }
-        }
-
-        SortStats s;
-        // Graph reuse cache: a consecutive batch with the same fingerprint
-        // (device span, geometry, effective options) resubmits the shard's
-        // held graph instead of rebuilding the pipeline.
-        if (opts.graph_launch && !opts.validate) {
-            if (shard.graph_cache &&
-                shard.graph_cache->matches(device, dev, total_arrays, n, opts)) {
+    SortStats s;
+    switch (kind) {
+        case JobKind::Uniform:
+            // Graph reuse cache: a consecutive batch with the same
+            // fingerprint (device span, geometry, effective options)
+            // resubmits the shard's held graph instead of rebuilding the
+            // pipeline.  Host-side validation needs the one-shot path.
+            if (opts.validate) {
+                s = sort_uniform_batch_on_device(device, keys, slices, total_arrays, n,
+                                                 opts);
+            } else if (shard.graph_cache && shard.graph_cache->matches(
+                                                device, keys.span(), total_arrays, n, opts)) {
                 s = shard.graph_cache->run();
                 std::lock_guard lk(mutex_);
                 ++stats_.graph_cache_hits;
@@ -1064,300 +1127,80 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
                 const bool evicted = shard.graph_cache != nullptr;
                 shard.graph_cache.reset();  // free held temporaries first
                 shard.graph_cache = std::make_unique<UniformSortGraph>(
-                    device, dev, total_arrays, n, opts);
+                    device, keys.span(), total_arrays, n, opts);
                 s = shard.graph_cache->run();
                 std::lock_guard lk(mutex_);
                 ++stats_.graph_cache_misses;
                 if (evicted) ++stats_.graph_cache_evictions;
             }
-        } else {
-            s = sort_uniform_batch_on_device(device, view, slices, total_arrays, n,
-                                             opts);
-        }
-        double kernel_ms = s.modeled_kernel_ms();
-        if (tuned) {
-            std::lock_guard lk(mutex_);
-            controller_.observe(plan.regime, plan.candidate, kernel_ms, count,
-                                device.props());
-        }
-
-        std::vector<std::uint8_t> row_fail;
-        if (verify) {
-            row_fail.assign(total_arrays, 0);
-            const auto vc = resilient::verify_rows_on_device<float>(
-                device, std::span<const float>(dev.data(), count), total_arrays, n,
-                opts.order, expected, row_fail);
-            kernel_ms += vc.modeled_ms;
-        }
-
-        // Copy back only verified requests; one with any failing row is
-        // quarantined (its host buffer still holds the original input).
-        std::vector<PendingPtr> served;
-        std::vector<PendingPtr> quarantined;
-        pos = 0;
-        std::size_t served_bytes = 0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending& p = *batch[i];
-            bool bad = false;
-            for (std::size_t a = slices[i].first_array;
-                 a < slices[i].first_array + slices[i].num_arrays; ++a) {
-                bad |= !row_fail.empty() && row_fail[a] != 0;
-            }
-            if (!bad) {
-                std::memcpy(p.job.values.data(), dev.data() + pos,
-                            p.elements * sizeof(float));
-                served_bytes += p.elements * sizeof(float);
-            }
-            pos += p.elements;
-            (bad ? quarantined : served).push_back(std::move(batch[i]));
-        }
-        const double d2h = device.transfer_ms(served_bytes);
-        shard.pool.release(lease);
-        if (!served.empty()) {
-            finish_batch(shard, served, h2d, d2h, kernel_ms, service_start);
-        }
-        quarantine_failed(quarantined);
-    } catch (...) {
-        shard.pool.release(lease);
-        throw;
+            break;
+        case JobKind::Ragged:
+            s = sort_ragged_batch_on_device(device, keys, fused_offsets, slices, opts);
+            break;
+        case JobKind::Pairs:
+            s = sort_pair_batch_on_device(device, keys, vals, slices, total_arrays, n, opts);
+            break;
     }
-}
-
-void Server::execute_ragged(Shard& shard, std::vector<PendingPtr>& batch) {
-    const auto service_start = Clock::now();
-    // Brownout L1+: response verification is the first service quality shed
-    // under overload (the sort still runs; per-row checks are skipped and
-    // counted).  The cached level makes this read lock-free.
-    const bool verify =
-        cfg_.verify_responses &&
-        !(cfg_.health.enabled &&
-          brownout_level_cache_.load(std::memory_order_relaxed) >= 1);
-    if (cfg_.verify_responses && !verify) {
-        std::lock_guard vlk(mutex_);
-        ++hstats_.verify_skipped_batches;
+    double kernel_ms = s.modeled_kernel_ms();
+    if (tuned) {
+        std::lock_guard lk(mutex_);
+        controller_.observe(plan.regime, plan.candidate, kernel_ms, total_values,
+                            device.props());
     }
-    simt::Device& device = *shard.device;
-    std::size_t total_values = 0;
-    std::size_t total_arrays = 0;
-    std::vector<std::uint64_t> fused_offsets;
-    std::vector<BatchSlice> slices;
-    slices.reserve(batch.size());
-    fused_offsets.push_back(0);
-    for (const auto& p : batch) {
-        slices.push_back({total_arrays, p->arrays});
-        const std::uint64_t base = p->job.offsets.front();
-        for (std::size_t i = 1; i < p->job.offsets.size(); ++i) {
-            fused_offsets.push_back(total_values + (p->job.offsets[i] - base));
+
+    std::vector<std::uint8_t> row_fail;
+    if (verify) {
+        row_fail.assign(total_arrays, 0);
+        const std::span<const float> kspan(kdev, total_values);
+        resilient::VerifyCounts vc;
+        switch (kind) {
+            case JobKind::Uniform:
+                vc = resilient::verify_rows_on_device<float>(
+                    device, kspan, total_arrays, n, opts.order, expected, row_fail);
+                break;
+            case JobKind::Ragged:  // ascending by contract (validate_job)
+                vc = resilient::verify_csr_on_device<float>(
+                    device, kspan, fused_offsets, opts.order, expected, row_fail);
+                break;
+            case JobKind::Pairs:
+                vc = resilient::verify_pair_rows_on_device<float>(
+                    device, kspan, std::span<const float>(vdev, total_values),
+                    total_arrays, n, opts.order, expected, row_fail);
+                break;
         }
-        total_values += p->elements;
-        total_arrays += p->arrays;
+        kernel_ms += vc.modeled_ms;
     }
-    const std::size_t bytes = total_values * sizeof(float);
 
-    const BufferPool::Lease lease = acquire_or_trim(shard, bytes);
-    try {
-        auto view = simt::DeviceBuffer<float>::borrow(device, lease.offset, total_values);
-        auto dev = view.span();
-        std::vector<std::uint64_t> expected;
-        if (verify) expected.reserve(total_arrays);
-        std::size_t pos = 0;
-        for (const auto& p : batch) {
-            std::memcpy(dev.data() + pos,
-                        p->job.values.data() + p->job.offsets.front(),
-                        p->elements * sizeof(float));
-            if (verify) {
-                const auto& off = p->job.offsets;
-                for (std::size_t i = 1; i < off.size(); ++i) {
-                    expected.push_back(resilient::row_checksum(std::span<const float>(
-                        p->job.values.data() + off[i - 1],
-                        static_cast<std::size_t>(off[i] - off[i - 1]))));
-                }
+    // Copy back only verified requests; one with any failing row is
+    // quarantined (its host buffer still holds the original input).
+    std::vector<PendingPtr> served;
+    std::vector<PendingPtr> quarantined;
+    pos = 0;
+    std::size_t served_bytes = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        Pending& p = *batch[i];
+        bool bad = false;
+        for (std::size_t a = slices[i].first_array;
+             a < slices[i].first_array + slices[i].num_arrays; ++a) {
+            bad |= !row_fail.empty() && row_fail[a] != 0;
+        }
+        if (!bad) {
+            std::memcpy(p.job.values.data() + first_value(p.job), kdev + pos,
+                        p.elements * sizeof(float));
+            if (pairs) {
+                std::memcpy(p.job.payload.data(), vdev + pos, p.elements * sizeof(float));
             }
-            pos += p->elements;
+            served_bytes += planes * p.elements * sizeof(float);
         }
-        const double h2d = device.transfer_ms(bytes);
-
-        Options opts = batch.front()->job.opts;
-        opts.validate = cfg_.validate;
-        opts.collect_bucket_sizes = false;
-        opts.verify_output = false;  // the server verifies per request below
-
-        // Adaptive tuning (see execute_uniform); the representative row
-        // length of the fused CSR buffer stands in for array_size.
-        tune::Plan plan;
-        bool tuned = false;
-        {
-            tune::Sketch merged;
-            for (const auto& p : batch) merged.merge(p->sketch);
-            if (!merged.empty() && total_arrays > 0) {
-                std::lock_guard lk(mutex_);
-                plan = controller_.choose(merged, total_values / total_arrays, opts,
-                                          device.props());
-                tuned = true;
-                opts = plan.opts;
-                if (plan.candidate != "paper-default") ++stats_.tuned_batches;
-            }
-        }
-
-        const SortStats s =
-            sort_ragged_batch_on_device(device, view, fused_offsets, slices, opts);
-        double kernel_ms = s.modeled_kernel_ms();
-        if (tuned) {
-            std::lock_guard lk(mutex_);
-            controller_.observe(plan.regime, plan.candidate, kernel_ms, total_values,
-                                device.props());
-        }
-
-        std::vector<std::uint8_t> row_fail;
-        if (verify) {
-            row_fail.assign(total_arrays, 0);
-            // The ragged device path sorts ascending regardless of
-            // opts.order (see sort_ragged_on_device); verify likewise.
-            const auto vc = resilient::verify_csr_on_device<float>(
-                device, std::span<const float>(dev.data(), total_values), fused_offsets,
-                SortOrder::Ascending, expected, row_fail);
-            kernel_ms += vc.modeled_ms;
-        }
-
-        std::vector<PendingPtr> served;
-        std::vector<PendingPtr> quarantined;
-        pos = 0;
-        std::size_t served_bytes = 0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending& p = *batch[i];
-            bool bad = false;
-            for (std::size_t a = slices[i].first_array;
-                 a < slices[i].first_array + slices[i].num_arrays; ++a) {
-                bad |= !row_fail.empty() && row_fail[a] != 0;
-            }
-            if (!bad) {
-                std::memcpy(p.job.values.data() + p.job.offsets.front(), dev.data() + pos,
-                            p.elements * sizeof(float));
-                served_bytes += p.elements * sizeof(float);
-            }
-            pos += p.elements;
-            (bad ? quarantined : served).push_back(std::move(batch[i]));
-        }
-        const double d2h = device.transfer_ms(served_bytes);
-        shard.pool.release(lease);
-        if (!served.empty()) {
-            finish_batch(shard, served, h2d, d2h, kernel_ms, service_start);
-        }
-        quarantine_failed(quarantined);
-    } catch (...) {
-        shard.pool.release(lease);
-        throw;
+        pos += p.elements;
+        (bad ? quarantined : served).push_back(std::move(batch[i]));
     }
-}
-
-void Server::execute_pairs(Shard& shard, std::vector<PendingPtr>& batch) {
-    const auto service_start = Clock::now();
-    // Brownout L1+: response verification is the first service quality shed
-    // under overload (the sort still runs; per-row checks are skipped and
-    // counted).  The cached level makes this read lock-free.
-    const bool verify =
-        cfg_.verify_responses &&
-        !(cfg_.health.enabled &&
-          brownout_level_cache_.load(std::memory_order_relaxed) >= 1);
-    if (cfg_.verify_responses && !verify) {
-        std::lock_guard vlk(mutex_);
-        ++hstats_.verify_skipped_batches;
+    const double d2h = device.transfer_ms(served_bytes);
+    leases.release();
+    if (!served.empty()) {
+        finish_batch(shard, served, h2d, d2h, kernel_ms, service_start);
     }
-    simt::Device& device = *shard.device;
-    const std::size_t n = batch.front()->job.array_size;
-    std::size_t total_arrays = 0;
-    std::vector<BatchSlice> slices;
-    slices.reserve(batch.size());
-    for (const auto& p : batch) {
-        slices.push_back({total_arrays, p->arrays});
-        total_arrays += p->arrays;
-    }
-    const std::size_t count = total_arrays * n;
-    const std::size_t bytes = count * sizeof(float);
-
-    const BufferPool::Lease key_lease = acquire_or_trim(shard, bytes);
-    BufferPool::Lease val_lease;
-    try {
-        val_lease = acquire_or_trim(shard, bytes);
-    } catch (...) {
-        shard.pool.release(key_lease);
-        throw;
-    }
-    try {
-        auto keys = simt::DeviceBuffer<float>::borrow(device, key_lease.offset, count);
-        auto vals = simt::DeviceBuffer<float>::borrow(device, val_lease.offset, count);
-        auto kdev = keys.span();
-        auto vdev = vals.span();
-        std::vector<std::uint64_t> expected;
-        if (verify) expected.reserve(total_arrays);
-        std::size_t pos = 0;
-        for (const auto& p : batch) {
-            std::memcpy(kdev.data() + pos, p->job.values.data(),
-                        p->elements * sizeof(float));
-            std::memcpy(vdev.data() + pos, p->job.payload.data(),
-                        p->elements * sizeof(float));
-            if (verify) {
-                for (std::size_t a = 0; a < p->arrays; ++a) {
-                    expected.push_back(resilient::pair_row_checksum(
-                        std::span<const float>(p->job.values.data() + a * n, n),
-                        std::span<const float>(p->job.payload.data() + a * n, n)));
-                }
-            }
-            pos += p->elements;
-        }
-        const double h2d = device.transfer_ms(2 * bytes);
-
-        Options opts = batch.front()->job.opts;
-        opts.validate = cfg_.validate;
-        opts.collect_bucket_sizes = false;
-        opts.verify_output = false;  // the server verifies per request below
-        const SortStats s = sort_pair_batch_on_device(device, keys, vals, slices,
-                                                      total_arrays, n, opts);
-        double kernel_ms = s.modeled_kernel_ms();
-
-        std::vector<std::uint8_t> row_fail;
-        if (verify) {
-            row_fail.assign(total_arrays, 0);
-            const auto vc = resilient::verify_pair_rows_on_device<float>(
-                device, std::span<const float>(kdev.data(), count),
-                std::span<const float>(vdev.data(), count), total_arrays, n, opts.order,
-                expected, row_fail);
-            kernel_ms += vc.modeled_ms;
-        }
-
-        std::vector<PendingPtr> served;
-        std::vector<PendingPtr> quarantined;
-        pos = 0;
-        std::size_t served_bytes = 0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending& p = *batch[i];
-            bool bad = false;
-            for (std::size_t a = slices[i].first_array;
-                 a < slices[i].first_array + slices[i].num_arrays; ++a) {
-                bad |= !row_fail.empty() && row_fail[a] != 0;
-            }
-            if (!bad) {
-                std::memcpy(p.job.values.data(), kdev.data() + pos,
-                            p.elements * sizeof(float));
-                std::memcpy(p.job.payload.data(), vdev.data() + pos,
-                            p.elements * sizeof(float));
-                served_bytes += 2 * p.elements * sizeof(float);
-            }
-            pos += p.elements;
-            (bad ? quarantined : served).push_back(std::move(batch[i]));
-        }
-        const double d2h = device.transfer_ms(served_bytes);
-        shard.pool.release(key_lease);
-        shard.pool.release(val_lease);
-        if (!served.empty()) {
-            finish_batch(shard, served, h2d, d2h, kernel_ms, service_start);
-        }
-        quarantine_failed(quarantined);
-    } catch (...) {
-        shard.pool.release(key_lease);
-        shard.pool.release(val_lease);
-        throw;
-    }
+    quarantine_failed(quarantined);
 }
 
 void Server::quarantine_failed(std::vector<PendingPtr>& victims) {

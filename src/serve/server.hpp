@@ -331,9 +331,9 @@ class Server {
     std::vector<PendingPtr> take_batch(Shard& shard, std::vector<PendingPtr>& expired,
                                        std::vector<PendingPtr>& shed);
     void serve_batch(Shard& shard, std::vector<PendingPtr> batch);
-    void execute_uniform(Shard& shard, std::vector<PendingPtr>& batch);
-    void execute_ragged(Shard& shard, std::vector<PendingPtr>& batch);
-    void execute_pairs(Shard& shard, std::vector<PendingPtr>& batch);
+    /// Runs one fused batch of any kind on the shard's device: stage, tune,
+    /// sort, verify, scatter back verified requests, quarantine the rest.
+    void execute_batch(Shard& shard, std::vector<PendingPtr>& batch);
     void run_cpu_fallback(Pending& p, bool quarantined = false);
     /// Completes verification-failed requests as solo host re-sorts (the
     /// suspect device bytes are never copied back).

@@ -27,8 +27,10 @@ struct RadixOptions {
     /// decision node that device-enqueues the offsets + scatter records (or
     /// prunes the degenerate pass).  Kernel sequence, output bytes and every
     /// deterministic KernelStats field are identical to the loop — only the
-    /// per-kernel scheduling round-trips disappear.  The paper-figure
-    /// benches pin this off alongside prune_passes.
+    /// per-kernel scheduling round-trips disappear.  Off runs the host loop,
+    /// the reference the graph chain is checked against
+    /// (tests/core/test_exec_equivalence.cpp); the paper-figure benches
+    /// leave it on (they pin only prune_passes).
     bool graph_launch = true;
 };
 

@@ -146,10 +146,50 @@ TEST(ServerResilience, AllocationFaultRetriesThroughThePoolTrim) {
     EXPECT_GT(stats.retry_backoff_ms, 0.0);
 }
 
-TEST(ServerResilience, VerifyResponsesQuarantinesOnlyTheCorruptedRequest) {
-    const std::size_t arrays = 4;
-    const std::size_t n = 64;
+/// Four rows, 256 values, of any kind: four such requests fuse into a 4 KiB
+/// data plane, exactly one pool size class, so a bit flip anywhere in the
+/// plane lands in some request's row.
+Job job_of_kind(JobKind kind, unsigned seed) {
+    Job job = uniform_job(4, 64, seed);
+    job.kind = kind;
+    if (kind == JobKind::Ragged) {
+        job.offsets = {0, 40, 104, 160, 256};
+        job.num_arrays = 0;  // CSR geometry comes from the offsets
+        job.array_size = 0;
+    } else if (kind == JobKind::Pairs) {
+        job.payload.resize(job.values.size());
+        for (std::size_t i = 0; i < job.payload.size(); ++i) {
+            job.payload[i] = static_cast<float>(i);
+        }
+    }
+    return job;
+}
 
+/// Host reference: every row ascending, each payload travelling with its key.
+Job host_sorted(Job job) {
+    std::vector<std::uint64_t> bounds = job.offsets;
+    if (job.kind != JobKind::Ragged) {
+        for (std::size_t a = 0; a <= job.num_arrays; ++a) bounds.push_back(a * job.array_size);
+    }
+    for (std::size_t r = 0; r + 1 < bounds.size(); ++r) {
+        std::vector<std::pair<float, float>> row;
+        for (std::size_t i = bounds[r]; i < bounds[r + 1]; ++i) {
+            row.emplace_back(job.values[i], job.payload.empty() ? 0.0f : job.payload[i]);
+        }
+        std::stable_sort(row.begin(), row.end(),
+                         [](const auto& x, const auto& y) { return x.first < y.first; });
+        for (std::size_t i = bounds[r]; i < bounds[r + 1]; ++i) {
+            job.values[i] = row[i - bounds[r]].first;
+            if (!job.payload.empty()) job.payload[i] = row[i - bounds[r]].second;
+        }
+    }
+    return job;
+}
+
+/// A silent bit flip in the fused data plane after the sort must fail
+/// verification for exactly one request of the batch: that request is
+/// re-sorted on the host, its batchmates are served from the device.
+void expect_corruption_quarantines_one_request(JobKind kind) {
     // Count the launches of one clean verified batch: the verify kernel is
     // last, so corrupting (undetected) at that ordinal flips a bit in the
     // fused data buffer after the sort finished writing it.
@@ -161,12 +201,12 @@ TEST(ServerResilience, VerifyResponsesQuarantinesOnlyTheCorruptedRequest) {
         Server server(dev, cfg);
         std::vector<Server::Ticket> tickets;
         for (unsigned i = 0; i < 4; ++i) {
-            tickets.push_back(server.submit(uniform_job(arrays, n, 20 + i)));
+            tickets.push_back(server.submit(job_of_kind(kind, 20 + i)));
         }
         server.pump();
         for (auto& t : tickets) EXPECT_TRUE(t.result.get().ok());
         verify_ordinal = dev.kernel_log().size();
-        ASSERT_EQ(dev.kernel_log().back().name, "gas.verify");
+        ASSERT_EQ(dev.kernel_log().back().name.rfind("gas.verify", 0), 0u);
         EXPECT_EQ(server.stats().verify_failures, 0u);
     }
 
@@ -180,10 +220,10 @@ TEST(ServerResilience, VerifyResponsesQuarantinesOnlyTheCorruptedRequest) {
     Server server(dev, cfg);
 
     std::vector<Server::Ticket> tickets;
-    std::vector<std::vector<float>> expected;
+    std::vector<Job> expected;
     for (unsigned i = 0; i < 4; ++i) {
-        auto job = uniform_job(arrays, n, 20 + i);
-        expected.push_back(sorted_rows(job.values, arrays, n));
+        auto job = job_of_kind(kind, 20 + i);
+        expected.push_back(host_sorted(job));
         tickets.push_back(server.submit(std::move(job)));
     }
     server.pump();
@@ -192,15 +232,24 @@ TEST(ServerResilience, VerifyResponsesQuarantinesOnlyTheCorruptedRequest) {
     for (std::size_t i = 0; i < tickets.size(); ++i) {
         Response r = tickets[i].result.get();
         ASSERT_EQ(r.status, Status::Ok) << r.error;
-        EXPECT_EQ(r.values, expected[i]) << "request " << i << " returned wrong bytes";
+        EXPECT_EQ(r.values, expected[i].values) << "request " << i << " returned wrong bytes";
+        EXPECT_EQ(r.payload, expected[i].payload) << "request " << i << " payload";
         fallbacks += r.cpu_fallback ? 1 : 0;
     }
     const auto stats = server.stats();
     EXPECT_EQ(stats.verify_failures, 1u);  // one bit flip -> one row -> one request
     EXPECT_EQ(stats.quarantined, 1u);
     EXPECT_EQ(fallbacks, 1u);  // its batchmates were served from the device
+    EXPECT_EQ(stats.cpu_fallbacks, 1u);
     EXPECT_EQ(stats.retries, 0u);
     EXPECT_EQ(dev.fault_report().corruptions, 1u);
+}
+
+TEST(ServerResilience, VerifyResponsesQuarantinesOnlyTheCorruptedRequest) {
+    for (const auto kind : {JobKind::Uniform, JobKind::Ragged, JobKind::Pairs}) {
+        SCOPED_TRACE(gas::serve::to_string(kind));
+        expect_corruption_quarantines_one_request(kind);
+    }
 }
 
 TEST(ServerResilience, VerifyOffReproducesTodaysBytes) {

@@ -389,6 +389,14 @@ TEST(Server, MalformedJobsThrow) {
     bad_offsets.offsets = {0, 7, 5, 10};
     EXPECT_THROW((void)server.submit(std::move(bad_offsets)), std::invalid_argument);
 
+    // The ragged device kernels sort ascending only.
+    Job ragged_descending;
+    ragged_descending.kind = JobKind::Ragged;
+    ragged_descending.values.resize(10);
+    ragged_descending.offsets = {0, 4, 10};
+    ragged_descending.opts.order = gas::SortOrder::Descending;
+    EXPECT_THROW((void)server.submit(std::move(ragged_descending)), std::invalid_argument);
+
     Job no_payload;
     no_payload.kind = JobKind::Pairs;
     no_payload.num_arrays = 1;

@@ -703,34 +703,62 @@ TEST(ServeTune, TunedServerServesEveryRegimeCorrectly) {
     server.stop();
 }
 
+gas::serve::Job ragged_job(std::size_t rows, std::size_t min_len, std::size_t max_len,
+                           Distribution dist, std::uint64_t seed) {
+    const auto ds = workload::make_ragged_dataset(rows, min_len, max_len, dist, seed);
+    gas::serve::Job job;
+    job.kind = gas::serve::JobKind::Ragged;
+    job.offsets.assign(ds.offsets.begin(), ds.offsets.end());
+    job.values = ds.values;
+    return job;
+}
+
 TEST(ServeTune, FleetKeyBandsAndQueueDepthEwma) {
-    gas::fleet::DeviceFleet fleet(3);
-    gas::serve::ServerConfig cfg;
-    cfg.manual_pump = true;
-    cfg.route_policy = gas::fleet::RoutePolicy::KeyRange;
-    gas::serve::Server server(fleet, cfg);
-    std::vector<gas::serve::Server::Ticket> tickets;
-    for (std::uint64_t r = 0; r < 12; ++r) {
-        tickets.push_back(server.submit(uniform_job(4, 800, Distribution::Uniform, r + 1)));
+    // Every tuned batch refreshes the bands, whatever its kind: a uniform and
+    // a ragged job stream each leave the router on data-driven bands.
+    for (const auto kind : {gas::serve::JobKind::Uniform, gas::serve::JobKind::Ragged}) {
+        SCOPED_TRACE(gas::serve::to_string(kind));
+        gas::fleet::DeviceFleet fleet(3);
+        gas::serve::ServerConfig cfg;
+        cfg.manual_pump = true;
+        cfg.route_policy = gas::fleet::RoutePolicy::KeyRange;
+        gas::serve::Server server(fleet, cfg);
+        std::vector<gas::serve::Server::Ticket> tickets;
+        std::vector<std::vector<std::uint64_t>> offsets;
+        for (std::uint64_t r = 0; r < 12; ++r) {
+            auto job = kind == gas::serve::JobKind::Uniform
+                           ? uniform_job(4, 800, Distribution::Uniform, r + 1)
+                           : ragged_job(4, 400, 1200, Distribution::Uniform, r + 1);
+            offsets.push_back(job.offsets);
+            tickets.push_back(server.submit(std::move(job)));
+        }
+        server.pump();
+        for (std::size_t i = 0; i < tickets.size(); ++i) {
+            const auto resp = tickets[i].result.get();
+            ASSERT_TRUE(resp.ok());
+            if (kind == gas::serve::JobKind::Uniform) {
+                EXPECT_TRUE(rows_sorted(resp.values, 4, 800));
+                continue;
+            }
+            for (std::size_t a = 0; a + 1 < offsets[i].size(); ++a) {
+                EXPECT_TRUE(std::is_sorted(
+                    resp.values.begin() + static_cast<std::ptrdiff_t>(offsets[i][a]),
+                    resp.values.begin() + static_cast<std::ptrdiff_t>(offsets[i][a + 1])));
+            }
+        }
+        const auto st = server.stats();
+        // The KeyRange router now runs on data-driven bands recomputed from
+        // the fleet-level aggregate sketch: one upper bound per device,
+        // ascending, closed by the key-space bound.
+        ASSERT_EQ(st.key_bands.size(), 3u);
+        EXPECT_TRUE(std::is_sorted(st.key_bands.begin(), st.key_bands.end()));
+        EXPECT_EQ(st.key_bands.back(), cfg.key_space_max);
+        EXPECT_NE(st.to_json().find("\"key_bands\""), std::string::npos);
+        double max_ewma = 0.0;
+        for (const auto& d : st.devices) max_ewma = std::max(max_ewma, d.queue_depth_ewma);
+        EXPECT_GT(max_ewma, 0.0);
+        server.stop();
     }
-    server.pump();
-    for (auto& t : tickets) {
-        const auto resp = t.result.get();
-        ASSERT_TRUE(resp.ok());
-        EXPECT_TRUE(rows_sorted(resp.values, 4, 800));
-    }
-    const auto st = server.stats();
-    // The KeyRange router now runs on data-driven bands recomputed from the
-    // fleet-level aggregate sketch: one upper bound per device, ascending,
-    // closed by the key-space bound.
-    ASSERT_EQ(st.key_bands.size(), 3u);
-    EXPECT_TRUE(std::is_sorted(st.key_bands.begin(), st.key_bands.end()));
-    EXPECT_EQ(st.key_bands.back(), cfg.key_space_max);
-    EXPECT_NE(st.to_json().find("\"key_bands\""), std::string::npos);
-    double max_ewma = 0.0;
-    for (const auto& d : st.devices) max_ewma = std::max(max_ewma, d.queue_depth_ewma);
-    EXPECT_GT(max_ewma, 0.0);
-    server.stop();
 }
 
 TEST(ServeTune, PairBatchesAreNeverTuned) {

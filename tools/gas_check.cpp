@@ -157,10 +157,8 @@ void run_bitonic(simt::Device& device, std::size_t arrays, std::size_t size) {
 void run_graph(simt::Device& device, std::size_t arrays, std::size_t size) {
     // The full sort pipeline through Device::submit — phase1 -> phase2 ->
     // phase3 as one work graph — with every launch under the checker.
-    gas::Options opts;
-    opts.graph_launch = true;
     auto ds = workload::make_dataset(arrays, size, workload::Distribution::ZipfHot, 17);
-    gas::gpu_array_sort(device, ds.values, ds.num_arrays, ds.array_size, opts);
+    gas::gpu_array_sort(device, ds.values, ds.num_arrays, ds.array_size);
     if (!gas::all_arrays_sorted(ds.values, ds.num_arrays, ds.array_size)) {
         throw std::runtime_error("graph workload produced unsorted output");
     }
