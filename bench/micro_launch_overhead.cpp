@@ -20,9 +20,20 @@
 //                         [--baseline PATH]
 //
 // The full run owns the committed BENCH_graph.json artifact; --quick is the
-// bench-smoke ctest body — it trims iterations, skips the slow spawn
-// comparison, and diffs its graph launch rate against the committed
-// baseline (>20% regression fails).  Exit code 0 iff every gate passed.
+// bench-smoke ctest body — it trims iterations and skips the slow spawn
+// comparison.  --baseline PATH fails on a >20% regression against a
+// committed baseline, in two checks, and prints which of them ran:
+//
+//   (a) always     grid-4 graph/loop speedup >= 0.8x the baseline's grid-4
+//                  "graph" speedup — a same-run ratio, so it transfers
+//                  across hosts
+//   (b) same host  grid-4 graph launches/sec >= 0.8x the baseline's
+//                  quick_graph_launches_per_sec, only when the baseline's
+//                  "workers" (its host's hardware_concurrency) equals this
+//                  host's; an absolute rate says nothing across unlike hosts
+//
+// A baseline lacking any of those fields fails.  Exit code 0 iff every gate
+// passed.
 
 #include <algorithm>
 #include <atomic>
@@ -32,6 +43,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -232,18 +244,106 @@ EquivCell equivalence_cell(const workload::Dataset& ds, simt::ExecMode mode,
     return cell;
 }
 
-/// Pulls "\"quick_graph_launches_per_sec\": <num>" out of a committed
-/// baseline JSON; returns 0.0 when the file or field is missing.
-double baseline_quick_rate(const std::string& path) {
+// A minimal reader for the baseline this bench writes: values are located by
+// walking the JSON structure, so a key is only found where it lives (the
+// first "speedup" in BENCH_graph.json is the grid-1 pool/spawn row, not the
+// graph gate's).  No escapes inside strings.
+
+std::size_t skip_ws(std::string_view s, std::size_t i) {
+    while (i < s.size() && std::strchr(" \t\r\n", s[i]) != nullptr) ++i;
+    return i;
+}
+
+/// Index just past the JSON value starting at `i` (npos if malformed).
+std::size_t skip_value(std::string_view s, std::size_t i) {
+    if (i >= s.size()) return std::string_view::npos;
+    if (s[i] == '"') {
+        const std::size_t end = s.find('"', i + 1);
+        return end == std::string_view::npos ? end : end + 1;
+    }
+    if (s[i] == '{' || s[i] == '[') {
+        int depth = 0;
+        for (; i < s.size(); ++i) {
+            if (s[i] == '"') {
+                i = s.find('"', i + 1);
+                if (i == std::string_view::npos) return i;
+            } else if (s[i] == '{' || s[i] == '[') {
+                ++depth;
+            } else if ((s[i] == '}' || s[i] == ']') && --depth == 0) {
+                return i + 1;
+            }
+        }
+        return std::string_view::npos;
+    }
+    while (i < s.size() && std::strchr(",]} \t\r\n", s[i]) == nullptr) ++i;
+    return i;
+}
+
+/// Calls `visit(key, value)` for each top-level member of the object at the
+/// start of `obj` (key is empty for array elements when `obj` is an array).
+template <typename Visit>
+void for_each_child(std::string_view obj, Visit&& visit) {
+    std::size_t i = skip_ws(obj, 0);
+    if (i >= obj.size() || (obj[i] != '{' && obj[i] != '[')) return;
+    const bool is_object = obj[i] == '{';
+    i = skip_ws(obj, i + 1);
+    while (i < obj.size() && obj[i] != '}' && obj[i] != ']') {
+        std::string_view key;
+        if (is_object) {
+            const std::size_t key_end = skip_value(obj, i);
+            if (key_end == std::string_view::npos || obj[i] != '"') return;
+            key = obj.substr(i + 1, key_end - i - 2);
+            i = skip_ws(obj, key_end);
+            if (i >= obj.size() || obj[i] != ':') return;
+            i = skip_ws(obj, i + 1);
+        }
+        const std::size_t end = skip_value(obj, i);
+        if (end == std::string_view::npos) return;
+        visit(key, obj.substr(i, end - i));
+        i = skip_ws(obj, end);
+        if (i < obj.size() && obj[i] == ',') i = skip_ws(obj, i + 1);
+    }
+}
+
+/// The raw text of member `key` of object `obj`; empty when absent.
+std::string_view json_member(std::string_view obj, std::string_view key) {
+    std::string_view found;
+    for_each_child(obj, [&](std::string_view k, std::string_view v) {
+        if (found.empty() && k == key) found = v;
+    });
+    return found;
+}
+
+/// A numeric member of `obj`; 0.0 when absent or not a number.
+double json_number(std::string_view obj, std::string_view key) {
+    const std::string text(json_member(obj, key));
+    return std::strtod(text.c_str(), nullptr);
+}
+
+/// The fields of a committed BENCH_graph.json the --baseline gates read;
+/// each is 0 when missing.
+struct GraphBaseline {
+    unsigned workers = 0;        ///< hardware_concurrency of the writing host
+    double grid4_speedup = 0.0;  ///< "speedup" of the grid-4 "graph" entry
+    double quick_rate = 0.0;     ///< quick_graph_launches_per_sec
+};
+
+GraphBaseline read_baseline(const std::string& path) {
+    GraphBaseline base;
     std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) return 0.0;
+    if (f == nullptr) return base;
     std::string text(1 << 16, '\0');
     text.resize(std::fread(text.data(), 1, text.size(), f));
     std::fclose(f);
-    const char* key = "\"quick_graph_launches_per_sec\":";
-    const auto pos = text.find(key);
-    if (pos == std::string::npos) return 0.0;
-    return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
+    base.workers = static_cast<unsigned>(json_number(text, "workers"));
+    base.quick_rate = json_number(text, "quick_graph_launches_per_sec");
+    const auto graph_row = [&](std::string_view, std::string_view row) {
+        if (json_number(row, "grid") == 4.0) {
+            base.grid4_speedup = json_number(row, "speedup");
+        }
+    };
+    for_each_child(json_member(text, "graph"), graph_row);
+    return base;
 }
 
 }  // namespace
@@ -346,6 +446,7 @@ int main(int argc, char** argv) {
     json += ",\"graph\":[";
     bool graph_ok = true;
     double quick_rate = 0.0;
+    double quick_speedup = 0.0;
     // Sized so each measurement spans ~100ms — launch rates on a timeshared
     // host need to average over several scheduler quanta; --quick keeps the
     // full size here because the graph gate is the point of the quick run.
@@ -370,7 +471,10 @@ int main(int argc, char** argv) {
         // reported but not gated: past ~16 blocks per-block work dominates
         // and on a uniprocessor CI host the ratio degenerates toward 1.
         if (grid == 4 && speedup < 2.0) graph_ok = false;
-        if (grid == 4) quick_rate = graph;
+        if (grid == 4) {
+            quick_rate = graph;
+            quick_speedup = speedup;
+        }
         std::printf("%8u | %18.0f %18.0f | %7.1fx\n", grid, graph, loop, speedup);
         std::fflush(stdout);
         char row[256];
@@ -427,20 +531,35 @@ int main(int argc, char** argv) {
     });
     ok = ok && inert;
 
-    bool baseline_pass = true;
+    // Baseline gates, each failing on a >20% regression: (a) the same-run
+    // grid-4 graph/loop speedup, a ratio that transfers across hosts, always
+    // runs; (b) the absolute grid-4 graph launch rate runs only against a
+    // baseline written on a host with this host's core count.
     if (!baseline_path.empty()) {
-        const double base = baseline_quick_rate(baseline_path);
-        if (base <= 0.0) {
-            std::printf("baseline: no quick_graph_launches_per_sec in %s — FAIL\n",
+        const GraphBaseline base = read_baseline(baseline_path);
+        if (base.workers == 0 || base.grid4_speedup <= 0.0 || base.quick_rate <= 0.0) {
+            std::printf("baseline: %s lacks workers, the grid-4 graph speedup or "
+                        "quick_graph_launches_per_sec — FAIL\n",
                         baseline_path.c_str());
-            baseline_pass = false;
+            ok = false;
         } else {
-            baseline_pass = quick_rate >= 0.8 * base;
-            std::printf("gate: graph launch rate %.0f/s vs baseline %.0f/s "
-                        "(need >= 80%%) ... %s\n",
-                        quick_rate, base, baseline_pass ? "PASS" : "FAIL");
+            const bool ratio_pass = quick_speedup >= 0.8 * base.grid4_speedup;
+            std::printf("gate (a) same-run ratio: grid-4 graph/loop speedup %.2fx vs "
+                        "baseline %.2fx (need >= 80%%) ... %s\n",
+                        quick_speedup, base.grid4_speedup, ratio_pass ? "PASS" : "FAIL");
+            ok = ok && ratio_pass;
+            if (base.workers == workers) {
+                const bool rate_pass = quick_rate >= 0.8 * base.quick_rate;
+                std::printf("gate (b) absolute rate: graph launch rate %.0f/s vs baseline "
+                            "%.0f/s (need >= 80%%) ... %s\n",
+                            quick_rate, base.quick_rate, rate_pass ? "PASS" : "FAIL");
+                ok = ok && rate_pass;
+            } else {
+                std::printf("gate (b) absolute rate: not run — baseline host had %u "
+                            "core(s), this host has %u\n",
+                            base.workers, workers);
+            }
         }
-        ok = ok && baseline_pass;
     }
 
     char tail[256];

@@ -258,7 +258,9 @@ TEST(Graph, TelemetryAccumulatesAcrossSubmits) {
 }
 
 TEST(Graph, KernelExceptionPropagatesAndTeamSurvives) {
-    for (const unsigned workers : {1u, 4u}) {
+    // 1 worker: sequential drain; 4: the 8-block node fans out over the
+    // team; 16: the node fits the team and drains on the coordinator alone.
+    for (const unsigned workers : {1u, 4u, 16u}) {
         Device dev(simt::tiny_device(1 << 20));
         dev.set_host_workers(workers);
         Graph g;
