@@ -21,12 +21,17 @@
 //
 // The full run owns the committed BENCH_graph.json artifact; --quick is the
 // bench-smoke ctest body — it trims iterations and skips the slow spawn
-// comparison.  --baseline PATH fails on a >20% regression against a
-// committed baseline, in two checks, and prints which of them ran:
+// comparison.  --baseline PATH compares the run with a committed baseline,
+// each check needing at least 80% of the baseline's figure, and prints
+// which checks ran:
 //
 //   (a) always     grid-4 graph/loop speedup >= 0.8x the baseline's grid-4
-//                  "graph" speedup — a same-run ratio, so it transfers
-//                  across hosts
+//                  "graph" speedup (BENCH_graph.json: 4.245x -> 3.40x).  A
+//                  same-run ratio, so it can be compared across hosts, but
+//                  not one-to-one: the committed 4.245x comes from a 1-core
+//                  host, and a 4-core host reads 4.4-6.8x, so there (a)
+//                  fails only when the graph path loses some 25-50% of its
+//                  lead, not on every 20% regression
 //   (b) same host  grid-4 graph launches/sec >= 0.8x the baseline's
 //                  quick_graph_launches_per_sec, only when the baseline's
 //                  "workers" (its host's hardware_concurrency) equals this
@@ -43,7 +48,6 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -244,80 +248,12 @@ EquivCell equivalence_cell(const workload::Dataset& ds, simt::ExecMode mode,
     return cell;
 }
 
-// A minimal reader for the baseline this bench writes: values are located by
-// walking the JSON structure, so a key is only found where it lives (the
-// first "speedup" in BENCH_graph.json is the grid-1 pool/spawn row, not the
-// graph gate's).  No escapes inside strings.
-
-std::size_t skip_ws(std::string_view s, std::size_t i) {
-    while (i < s.size() && std::strchr(" \t\r\n", s[i]) != nullptr) ++i;
-    return i;
-}
-
-/// Index just past the JSON value starting at `i` (npos if malformed).
-std::size_t skip_value(std::string_view s, std::size_t i) {
-    if (i >= s.size()) return std::string_view::npos;
-    if (s[i] == '"') {
-        const std::size_t end = s.find('"', i + 1);
-        return end == std::string_view::npos ? end : end + 1;
-    }
-    if (s[i] == '{' || s[i] == '[') {
-        int depth = 0;
-        for (; i < s.size(); ++i) {
-            if (s[i] == '"') {
-                i = s.find('"', i + 1);
-                if (i == std::string_view::npos) return i;
-            } else if (s[i] == '{' || s[i] == '[') {
-                ++depth;
-            } else if ((s[i] == '}' || s[i] == ']') && --depth == 0) {
-                return i + 1;
-            }
-        }
-        return std::string_view::npos;
-    }
-    while (i < s.size() && std::strchr(",]} \t\r\n", s[i]) == nullptr) ++i;
-    return i;
-}
-
-/// Calls `visit(key, value)` for each top-level member of the object at the
-/// start of `obj` (key is empty for array elements when `obj` is an array).
-template <typename Visit>
-void for_each_child(std::string_view obj, Visit&& visit) {
-    std::size_t i = skip_ws(obj, 0);
-    if (i >= obj.size() || (obj[i] != '{' && obj[i] != '[')) return;
-    const bool is_object = obj[i] == '{';
-    i = skip_ws(obj, i + 1);
-    while (i < obj.size() && obj[i] != '}' && obj[i] != ']') {
-        std::string_view key;
-        if (is_object) {
-            const std::size_t key_end = skip_value(obj, i);
-            if (key_end == std::string_view::npos || obj[i] != '"') return;
-            key = obj.substr(i + 1, key_end - i - 2);
-            i = skip_ws(obj, key_end);
-            if (i >= obj.size() || obj[i] != ':') return;
-            i = skip_ws(obj, i + 1);
-        }
-        const std::size_t end = skip_value(obj, i);
-        if (end == std::string_view::npos) return;
-        visit(key, obj.substr(i, end - i));
-        i = skip_ws(obj, end);
-        if (i < obj.size() && obj[i] == ',') i = skip_ws(obj, i + 1);
-    }
-}
-
-/// The raw text of member `key` of object `obj`; empty when absent.
-std::string_view json_member(std::string_view obj, std::string_view key) {
-    std::string_view found;
-    for_each_child(obj, [&](std::string_view k, std::string_view v) {
-        if (found.empty() && k == key) found = v;
-    });
-    return found;
-}
-
-/// A numeric member of `obj`; 0.0 when absent or not a number.
-double json_number(std::string_view obj, std::string_view key) {
-    const std::string text(json_member(obj, key));
-    return std::strtod(text.c_str(), nullptr);
+/// The number after `key` in `text`, searching from `from`; 0.0 when `from`
+/// is npos or the key is absent.
+double number_after(const std::string& text, std::size_t from, const char* key) {
+    const auto pos = from == std::string::npos ? from : text.find(key, from);
+    if (pos == std::string::npos) return 0.0;
+    return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
 }
 
 /// The fields of a committed BENCH_graph.json the --baseline gates read;
@@ -335,14 +271,14 @@ GraphBaseline read_baseline(const std::string& path) {
     std::string text(1 << 16, '\0');
     text.resize(std::fread(text.data(), 1, text.size(), f));
     std::fclose(f);
-    base.workers = static_cast<unsigned>(json_number(text, "workers"));
-    base.quick_rate = json_number(text, "quick_graph_launches_per_sec");
-    const auto graph_row = [&](std::string_view, std::string_view row) {
-        if (json_number(row, "grid") == 4.0) {
-            base.grid4_speedup = json_number(row, "speedup");
-        }
-    };
-    for_each_child(json_member(text, "graph"), graph_row);
+    // This bench writes the file on one line, top-level "workers" first.
+    // The grid-4 speedup is looked up inside the "graph" array: the first
+    // "speedup" in the file is the grid-1 pool/spawn row.
+    base.workers = static_cast<unsigned>(number_after(text, 0, "\"workers\":"));
+    base.quick_rate = number_after(text, 0, "\"quick_graph_launches_per_sec\":");
+    std::size_t row = text.find("\"graph\":[");
+    if (row != std::string::npos) row = text.find("{\"grid\":4,", row);
+    base.grid4_speedup = number_after(text, row, "\"speedup\":");
     return base;
 }
 
@@ -531,10 +467,10 @@ int main(int argc, char** argv) {
     });
     ok = ok && inert;
 
-    // Baseline gates, each failing on a >20% regression: (a) the same-run
-    // grid-4 graph/loop speedup, a ratio that transfers across hosts, always
-    // runs; (b) the absolute grid-4 graph launch rate runs only against a
-    // baseline written on a host with this host's core count.
+    // Baseline gates, each needing >= 80% of the baseline's figure: (a) the
+    // same-run grid-4 graph/loop speedup always runs; (b) the absolute
+    // grid-4 graph launch rate runs only against a baseline written on a
+    // host with this host's core count.
     if (!baseline_path.empty()) {
         const GraphBaseline base = read_baseline(baseline_path);
         if (base.workers == 0 || base.grid4_speedup <= 0.0 || base.quick_rate <= 0.0) {

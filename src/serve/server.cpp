@@ -623,15 +623,21 @@ std::size_t Server::pump() {
 
 void Server::scheduler_main(Shard& shard) {
     std::unique_lock lk(mutex_);
+    // A graceful stop waits for the batches in flight on the other shards
+    // as well as for the queues: a batch whose device is lost re-homes its
+    // requests onto the survivors' queues, and they must still be there to
+    // serve them.
+    const auto finished = [&] {
+        return stopping_ && (cancel_pending_ || (queued_ == 0 && in_flight_ == 0));
+    };
     for (;;) {
-        if (cfg_.health.enabled && shard.quarantined &&
-            !(stopping_ && (cancel_pending_ || queued_ == 0))) {
+        if (cfg_.health.enabled && shard.quarantined && !finished()) {
             // Quarantined: nothing is routed here, so instead of parking on
             // the work predicate, wake on the probe timer and run seeded
             // probe sorts until the state machine re-admits the device.
             queue_cv_.wait_for(lk, std::chrono::duration<double, std::milli>(
                                        cfg_.health.probe_interval_ms));
-            if (stopping_ && (cancel_pending_ || queued_ == 0)) break;
+            if (finished()) break;
             if (shard.quarantined) {
                 lk.unlock();
                 run_probe_cycle(shard);
@@ -640,11 +646,11 @@ void Server::scheduler_main(Shard& shard) {
             continue;
         }
         queue_cv_.wait(lk, [&] {
-            if (stopping_ && (cancel_pending_ || queued_ == 0)) return true;
+            if (finished()) return true;
             if (cfg_.health.enabled && shard.quarantined) return true;  // go probe
             return shard.queued > 0 || steal_candidate_locked(shard);
         });
-        if (stopping_ && (cancel_pending_ || queued_ == 0)) break;
+        if (finished()) break;
         if (cfg_.health.enabled && shard.quarantined) continue;
         if (shard.queued == 0 && steal_into_locked(shard) == 0) continue;
         if (cfg_.linger_us > 0.0 && !stopping_ &&
@@ -685,9 +691,10 @@ void Server::scheduler_main(Shard& shard) {
         in_flight_ -= shard.in_flight;
         shard.in_flight = 0;
         if (queued_ == 0 && in_flight_ == 0) idle_cv_.notify_all();
-        // Wake peers blocked on the stop predicate once the last queued
-        // request retires (their own queues are empty; no notify would come).
-        if (stopping_ && queued_ == 0) queue_cv_.notify_all();
+        // Wake peers blocked on the stop predicate once the last queued or
+        // in-flight request retires (their own queues are empty; no notify
+        // would come).
+        if (stopping_ && queued_ == 0 && in_flight_ == 0) queue_cv_.notify_all();
     }
 }
 

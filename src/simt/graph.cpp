@@ -237,9 +237,9 @@ namespace {
 /// coordinator included — claims blocks by CAS on that word, and a node is
 /// finished the moment `completed` reaches its grid size.  Nobody touches a
 /// condition variable until the graph is drained, and a worker that never
-/// claims a block never handshakes at all.  A small node — grid size no
-/// larger than the team — is never published: the coordinator drains it
-/// solo on slot 0 at inline-launch speed while the others keep yielding.
+/// claims a block never handshakes at all.  Residents claim blocks of small
+/// nodes too: only where the team timeshares fewer cores than it has workers
+/// do they mostly yield while the coordinator drains a small node alone.
 /// This is where the graph path beats the loop path: N launches cost one
 /// park/wake instead of N, with no per-node barrier.
 struct Team {
@@ -363,32 +363,31 @@ GraphStats Device::submit(Graph& graph) {
         }
     };
 
-    // Runs every block of a kernel node on the scheduling thread through
-    // slot 0, exactly like Device::launch's sequential path; a kernel-body
-    // exception propagates straight out of the drain.
-    const auto run_solo = [&](Graph::Node& n) {
-        std::vector<detail::BlockRecord> records(n.cfg.grid_dim);
-        BlockCtx& ctx = workers_pool.block_ctx(0);
-        ctx.configure(n.cfg.block_dim, n.cfg.grid_dim, props_.shared_memory_per_block,
-                      thread_order_, /*slot=*/0, exec_mode_, props_.warp_size);
-        if (sanitizing) {
-            ctx.enable_sanitize(sanitize_options_, n.cfg.name);
-        } else {
-            ctx.disable_sanitize();
-        }
-        const auto k0 = std::chrono::steady_clock::now();
-        for (unsigned b = 0; b < n.cfg.grid_dim; ++b) {
-            detail::run_block(n.body, ctx, cost_model_, b, records[b]);
-        }
-        const auto k1 = std::chrono::steady_clock::now();
-        return finish_launch(n.cfg, records,
-                             std::chrono::duration<double, std::milli>(k1 - k0).count());
-    };
-
     const auto t0 = std::chrono::steady_clock::now();
     if (host_workers_ <= 1) {
+        // Sequential path: the scheduling thread runs every block through
+        // slot 0, exactly like Device::launch's sequential path.
         workers_pool.reserve_slots(1);
-        drain(run_solo);
+        drain([&](Graph::Node& n) {
+            std::vector<detail::BlockRecord> records(n.cfg.grid_dim);
+            BlockCtx& ctx = workers_pool.block_ctx(0);
+            ctx.configure(n.cfg.block_dim, n.cfg.grid_dim,
+                          props_.shared_memory_per_block, thread_order_, /*slot=*/0,
+                          exec_mode_, props_.warp_size);
+            if (sanitizing) {
+                ctx.enable_sanitize(sanitize_options_, n.cfg.name);
+            } else {
+                ctx.disable_sanitize();
+            }
+            const auto k0 = std::chrono::steady_clock::now();
+            for (unsigned b = 0; b < n.cfg.grid_dim; ++b) {
+                detail::run_block(n.body, ctx, cost_model_, b, records[b]);
+            }
+            const auto k1 = std::chrono::steady_clock::now();
+            return finish_launch(
+                n.cfg, records,
+                std::chrono::duration<double, std::milli>(k1 - k0).count());
+        });
     } else {
         Team team;
         const unsigned team_size = host_workers_;
@@ -438,17 +437,13 @@ GraphStats Device::submit(Graph& graph) {
                     run_claimed(ctx, cfg.grid_dim - remaining);
                 }
             }
-            // Coordinator: drains the DAG.  A small node (no more blocks
-            // than the team has workers) runs solo on slot 0 and is never
-            // published, so the residents stay out of its BlockCtx set-up
-            // and cache lines; a larger node fans out, with the coordinator
-            // as block-puller 0.  Whatever happens, the team must be
+            // Coordinator: drains the DAG, working as block-puller 0 on
+            // every kernel node.  Whatever happens, the team must be
             // stopped before this task returns or ThreadPool::run would
             // wait forever on the resident workers.
             std::uint32_t epoch_seq = 0;
             try {
                 drain([&](Graph::Node& n) {
-                    if (n.cfg.grid_dim <= team_size) return run_solo(n);
                     std::vector<detail::BlockRecord> records(n.cfg.grid_dim);
                     team.cfg = &n.cfg;
                     team.body = &n.body;

@@ -390,6 +390,10 @@ TEST(HealthServe, AsyncHangIsDetectedAndServiceSurvives) {
     ServerConfig cfg;
     cfg.health.enabled = true;
     cfg.retry.seed = 23;
+    // Keep the requests routed to device 0 there: with stealing on, device
+    // 1 can take device 0's whole queue before device 0's scheduler thread
+    // runs, and then no launch ever hangs.
+    cfg.max_steal_requests = 0;
     Server server(fleet, cfg);
 
     std::vector<Server::Ticket> tickets;
@@ -410,6 +414,40 @@ TEST(HealthServe, AsyncHangIsDetectedAndServiceSurvives) {
     EXPECT_GE(stats.health.hangs_detected, 1u);
     EXPECT_EQ(stats.health.hedge_mismatches, 0u);
     EXPECT_EQ(stats.completed, 8u);
+}
+
+TEST(HealthServe, StopServesWorkReroutedAfterTheQueuesDrain) {
+    DeviceFleet fleet(2, simt::tiny_device(256 << 20));
+    // Device 0 hangs at every launch for the whole 100 ms safety valve (the
+    // watchdog deadline is out of reach), so each of its three attempts
+    // takes 100 ms.  After the first one the shard is Degraded and its
+    // batch is hedged onto device 1, which resolves the ticket; stop() then
+    // finds every queue empty while device 0 is still retrying, and the
+    // exhausted retries re-home the batch onto device 1's queue.  stop()
+    // must wait for that batch instead of leaving it to a scheduler that
+    // has already exited.
+    simt::faults::FaultPlan hang;
+    hang.hang_every = 1;
+    hang.hang_max_ms = 100.0;
+    fleet.device(0).set_fault_plan(hang);
+
+    ServerConfig cfg;
+    cfg.health.enabled = true;
+    cfg.health.stall_deadline_ms = 1e9;
+    cfg.max_steal_requests = 0;  // the one request stays on device 0
+    Server server(fleet, cfg);
+
+    auto job = uniform_job(4, 64, 5);
+    const auto want = sorted_rows(job.values, 4, 64);
+    Response r = server.submit(std::move(job)).result.get();
+    ASSERT_EQ(r.status, Status::Ok) << r.error;
+    EXPECT_EQ(r.values, want);
+    server.stop();
+
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.health.hedges_launched, 1u);
+    EXPECT_EQ(stats.reroutes, 1u);
+    EXPECT_EQ(stats.devices_quarantined, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -259,7 +259,8 @@ TEST(Graph, TelemetryAccumulatesAcrossSubmits) {
 
 TEST(Graph, KernelExceptionPropagatesAndTeamSurvives) {
     // 1 worker: sequential drain; 4: the 8-block node fans out over the
-    // team; 16: the node fits the team and drains on the coordinator alone.
+    // team; 16: more workers than blocks, so some residents never claim one
+    // and must still be stopped when the coordinator rethrows.
     for (const unsigned workers : {1u, 4u, 16u}) {
         Device dev(simt::tiny_device(1 << 20));
         dev.set_host_workers(workers);
