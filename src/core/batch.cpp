@@ -1,53 +1,10 @@
 #include "core/batch.hpp"
 
-#include <stdexcept>
-#include <string>
+#include "core/gpu_array_sort.hpp"
+#include "core/plan.hpp"
+#include "simt/device_memory.hpp"
 
 namespace gas {
-
-namespace {
-
-void check_slices(std::span<const BatchSlice> slices, std::size_t total_arrays,
-                  const char* who) {
-    std::size_t next = 0;
-    for (const BatchSlice& s : slices) {
-        if (s.first_array != next) {
-            throw std::invalid_argument(std::string(who) + ": slices must tile the batch");
-        }
-        next += s.num_arrays;
-    }
-    if (next != total_arrays) {
-        throw std::invalid_argument(std::string(who) + ": slices do not cover the batch");
-    }
-}
-
-}  // namespace
-
-SortStats sort_uniform_batch_on_device(simt::Device& device, simt::DeviceBuffer<float>& data,
-                                       std::span<const BatchSlice> slices,
-                                       std::size_t total_arrays, std::size_t array_size,
-                                       const Options& opts) {
-    check_slices(slices, total_arrays, "sort_uniform_batch_on_device");
-    return sort_arrays_on_device(device, data, total_arrays, array_size, opts);
-}
-
-SortStats sort_ragged_batch_on_device(simt::Device& device, simt::DeviceBuffer<float>& values,
-                                      std::span<const std::uint64_t> offsets,
-                                      std::span<const BatchSlice> slices,
-                                      const Options& opts) {
-    const std::size_t total = offsets.empty() ? 0 : offsets.size() - 1;
-    check_slices(slices, total, "sort_ragged_batch_on_device");
-    return sort_ragged_on_device(device, values, offsets, opts);
-}
-
-SortStats sort_pair_batch_on_device(simt::Device& device, simt::DeviceBuffer<float>& keys,
-                                    simt::DeviceBuffer<float>& values,
-                                    std::span<const BatchSlice> slices,
-                                    std::size_t total_arrays, std::size_t array_size,
-                                    const Options& opts) {
-    check_slices(slices, total_arrays, "sort_pair_batch_on_device");
-    return sort_pairs_on_device(device, keys, values, total_arrays, array_size, opts);
-}
 
 std::size_t batch_footprint_bytes(std::size_t total_arrays, std::size_t array_size,
                                   const Options& opts, const simt::DeviceProperties& props,
@@ -69,17 +26,14 @@ std::size_t batch_footprint_bytes(std::size_t total_arrays, std::size_t array_si
 bool ragged_row_fits_shared(std::size_t n, const Options& opts,
                             const simt::DeviceProperties& props, std::size_t buffers) {
     if (n == 0) return true;
-    // Mirrors the shared-budget checks in sort_ragged_on_device and
-    // fused_pair_sort: staged row(s) + splitters + counts + cursors.  The
-    // block width is the worst case the whole batch could reach (p grows
-    // with the largest fused row), so a row admitted here can never make the
-    // fused launch throw regardless of what it is batched with.
+    // The fused kernel's own shared budget, at the worst-case block width
+    // the whole batch could reach (p grows with the largest fused row), so a
+    // row admitted here can never make the fused launch throw regardless of
+    // what it is batched with.
     (void)opts;
     const std::size_t worst_threads = props.max_threads_per_block;
-    const std::size_t need = buffers * n * sizeof(float) +
-                             (worst_threads + 1) * sizeof(float) +
-                             2ull * worst_threads * sizeof(std::uint32_t);
-    return need <= props.shared_memory_per_block;
+    return staged_row_bytes(n, buffers, sizeof(float), worst_threads + 1, worst_threads) <=
+           props.shared_memory_per_block;
 }
 
 }  // namespace gas

@@ -1,62 +1,24 @@
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
+#include <cstddef>
 
-#include "core/gpu_array_sort.hpp"
 #include "core/options.hpp"
-#include "core/pair_sort.hpp"
-#include "core/ragged_sort.hpp"
-#include "core/sort_stats.hpp"
-#include "simt/device.hpp"
-#include "simt/device_buffer.hpp"
+#include "simt/device_properties.hpp"
 
 namespace gas {
 
-/// One caller's share of a fused device batch: `num_arrays` arrays starting
-/// at array index `first_array` of the concatenated buffer.
-struct BatchSlice {
-    std::size_t first_array = 0;
-    std::size_t num_arrays = 0;
-};
-
-/// Batched entry points for serving layers (gas::serve) that fuse many small
+/// Admission arithmetic for serving layers (gas::serve) that fuse many small
 /// independent sort requests into one device launch sequence.
 ///
-/// The fusion invariant these functions pin down: every kernel in the repo
-/// processes one array per block (or per packed lane) with no inter-array
-/// coupling — splitters, bucket counts and phase-3 work never cross array
-/// boundaries.  Concatenating K requests of the same array size and options
-/// into one (ΣN x n) launch therefore produces, for each request's rows,
-/// exactly the bytes a standalone gpu_array_sort of that request would have
-/// produced, while paying one launch sequence instead of K (and filling the
-/// SMs a 4-block request would leave idle).  `tests/serve/test_batch.cpp`
-/// asserts the bit-identity per slice.
-
-/// Sorts a fused uniform batch in place on the device.  `slices` must tile
-/// [0, total_arrays) without gaps or overlap (each slice one request);
-/// throws std::invalid_argument otherwise.
-SortStats sort_uniform_batch_on_device(simt::Device& device,
-                                       simt::DeviceBuffer<float>& data,
-                                       std::span<const BatchSlice> slices,
-                                       std::size_t total_arrays, std::size_t array_size,
-                                       const Options& opts = {});
-
-/// Fused ragged batch: one CSR offset table spanning every request's rows.
-/// `slices` index *arrays* (offset rows), tiling [0, offsets.size()-1).
-SortStats sort_ragged_batch_on_device(simt::Device& device,
-                                      simt::DeviceBuffer<float>& values,
-                                      std::span<const std::uint64_t> offsets,
-                                      std::span<const BatchSlice> slices,
-                                      const Options& opts = {});
-
-/// Fused key/value pair batch (uniform geometry, float keys and payloads).
-SortStats sort_pair_batch_on_device(simt::Device& device, simt::DeviceBuffer<float>& keys,
-                                    simt::DeviceBuffer<float>& values,
-                                    std::span<const BatchSlice> slices,
-                                    std::size_t total_arrays, std::size_t array_size,
-                                    const Options& opts = {});
+/// The fusion invariant they rely on: every kernel in the repo processes one
+/// array per block (or per packed lane) with no inter-array coupling —
+/// splitters, bucket counts and phase-3 work never cross array boundaries.
+/// Concatenating K requests of the same array size and options into one
+/// (ΣN x n) sort_arrays_on_device / sort_pairs_on_device call, or their rows
+/// into one CSR table for sort_ragged_on_device, therefore produces, for each
+/// request's rows, exactly the bytes a standalone sort of that request would
+/// have produced, while paying one launch sequence instead of K.
+/// `tests/serve/test_batch.cpp` asserts the bit-identity per request.
 
 /// Device bytes a fused uniform/pair batch will occupy (data + temporaries),
 /// the admission-control arithmetic gas::serve uses before accepting a

@@ -18,11 +18,14 @@ namespace gas {
 /// on the device instead of re-sorting pairs on the host.
 ///
 /// Implementation: the same three-phase sample sort as gpu_array_sort, fused
-/// into one kernel per the ragged design — splitters, counts and cursors
-/// stay in shared memory, the value array is permuted alongside the keys,
-/// and no temporary global memory is allocated.  Pairs with equal keys keep
-/// no particular order (sample sort is not stable).  Requires each array
-/// (keys + values) to fit the 48 KB shared staging area.
+/// into one kernel per array (gas.pair_sort_fused) — the key-plus-payload
+/// form of the fused row sorter gpu_ragged_sort also runs
+/// (core/fused_sort.cpp).  Splitters, counts and cursors stay in shared
+/// memory, the value array is permuted alongside the keys, and no temporary
+/// global memory is allocated.  Pairs with equal keys keep no particular
+/// order (sample sort is not stable).  Requires each array (keys + values)
+/// to fit the 48 KB shared staging area; throws std::invalid_argument
+/// otherwise and on unusable Options (gas::validate).
 /// Instantiated for float and double (double covers high-resolution m/z).
 template <typename T>
 SortStats sort_pairs_on_device(simt::Device& device, simt::DeviceBuffer<T>& keys,

@@ -6,13 +6,17 @@
 
 namespace gas {
 
-SortPlan make_plan(std::size_t n, const Options& opts, const simt::DeviceProperties& props,
-                   std::size_t elem_size) {
+void validate(const Options& opts) {
     if (opts.bucket_target == 0) throw std::invalid_argument("bucket_target must be >= 1");
     if (!(opts.sampling_rate > 0.0) || opts.sampling_rate > 1.0) {
         throw std::invalid_argument("sampling_rate must be in (0, 1]");
     }
     if (opts.threads_per_bucket == 0) throw std::invalid_argument("threads_per_bucket must be >= 1");
+}
+
+SortPlan make_plan(std::size_t n, const Options& opts, const simt::DeviceProperties& props,
+                   std::size_t elem_size) {
+    validate(opts);
 
     SortPlan plan;
     plan.array_size = n;
@@ -45,10 +49,9 @@ SortPlan make_plan(std::size_t n, const Options& opts, const simt::DevicePropert
     // Phase 2 stages the array, the splitters and the bucket cursors in
     // shared memory when they fit (the paper's assumption for <= 4000-peak
     // spectra); otherwise the driver falls back to a global scratch row.
-    const std::size_t phase2_shared = n * elem_size +
-                                      plan.splitters_per_array * elem_size +
-                                      2ull * plan.block_threads * sizeof(std::uint32_t);
-    plan.array_fits_shared = phase2_shared <= props.shared_memory_per_block;
+    plan.array_fits_shared = staged_row_bytes(n, 1, elem_size, plan.splitters_per_array,
+                                              plan.block_threads) <=
+                             props.shared_memory_per_block;
     return plan;
 }
 

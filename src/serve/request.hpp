@@ -12,9 +12,10 @@ namespace gas::serve {
 
 using Clock = std::chrono::steady_clock;
 
-/// What kind of sort a job asks for.  All three map onto the fused batched
-/// entry points in core/batch.hpp; float is the paper's element type and the
-/// only one the serving layer speaks.
+/// What kind of sort a job asks for.  Each maps onto one core sorter over a
+/// fused batch (sort_arrays_on_device, sort_ragged_on_device,
+/// sort_pairs_on_device); float is the paper's element type and the only one
+/// the serving layer speaks.
 enum class JobKind : std::uint8_t {
     Uniform,  ///< num_arrays x array_size rows in `values`
     Ragged,   ///< CSR: `offsets` (N+1 entries) into `values`
@@ -44,9 +45,9 @@ enum class Priority : std::uint8_t { High = 0, Normal = 1, Low = 2 };
 }
 
 /// One sort request.  The job owns its data; the server moves it through the
-/// pipeline and hands the sorted vectors back in the Response.  Ragged jobs
-/// sort ascending only: submit() rejects a Ragged job with
-/// SortOrder::Descending (std::invalid_argument).
+/// pipeline and hands the sorted vectors back in the Response.  Every kind
+/// sorts in `opts.order`; submit() throws std::invalid_argument on options
+/// no sorter can run (gas::validate) and on malformed geometry.
 struct Job {
     JobKind kind = JobKind::Uniform;
     std::vector<float> values;             ///< rows / CSR values / pair keys

@@ -8,6 +8,10 @@
 #include <utility>
 
 #include "core/batch.hpp"
+#include "core/gpu_array_sort.hpp"
+#include "core/pair_sort.hpp"
+#include "core/plan.hpp"
+#include "core/ragged_sort.hpp"
 #include "health/probe.hpp"
 #include "tune/ewma.hpp"
 
@@ -18,6 +22,13 @@ namespace {
 double ms_between(Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
+
+/// One request's share of a fused batch: `num_arrays` rows starting at row
+/// `first_array` of the concatenated buffer.
+struct BatchSlice {
+    std::size_t first_array = 0;
+    std::size_t num_arrays = 0;
+};
 
 /// Two jobs can share a fused batch: same kind, same uniform geometry, and
 /// the same sort-shaping options (anything that changes splitters, bucketing
@@ -87,6 +98,7 @@ std::size_t job_elements(const Job& job) {
 }
 
 void validate_job(const Job& job) {
+    validate(job.opts);
     switch (job.kind) {
         case JobKind::Uniform:
             if (job.values.size() < job.num_arrays * job.array_size) {
@@ -100,12 +112,6 @@ void validate_job(const Job& job) {
             }
             break;
         case JobKind::Ragged: {
-            // The ragged device kernels sort ascending only; a descending
-            // request would come back in a different order from the device
-            // than from the host fallback.
-            if (job.opts.order == SortOrder::Descending) {
-                throw std::invalid_argument("serve: ragged jobs sort ascending only");
-            }
             for (std::size_t i = 1; i < job.offsets.size(); ++i) {
                 if (job.offsets[i] < job.offsets[i - 1]) {
                     throw std::invalid_argument("serve: ragged offsets not ascending");
@@ -1123,8 +1129,7 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
             // resubmits the shard's held graph instead of rebuilding the
             // pipeline.  Host-side validation needs the one-shot path.
             if (opts.validate) {
-                s = sort_uniform_batch_on_device(device, keys, slices, total_arrays, n,
-                                                 opts);
+                s = sort_arrays_on_device(device, keys, total_arrays, n, opts);
             } else if (shard.graph_cache && shard.graph_cache->matches(
                                                 device, keys.span(), total_arrays, n, opts)) {
                 s = shard.graph_cache->run();
@@ -1142,10 +1147,10 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
             }
             break;
         case JobKind::Ragged:
-            s = sort_ragged_batch_on_device(device, keys, fused_offsets, slices, opts);
+            s = sort_ragged_on_device(device, keys, fused_offsets, opts);
             break;
         case JobKind::Pairs:
-            s = sort_pair_batch_on_device(device, keys, vals, slices, total_arrays, n, opts);
+            s = sort_pairs_on_device(device, keys, vals, total_arrays, n, opts);
             break;
     }
     double kernel_ms = s.modeled_kernel_ms();
@@ -1165,7 +1170,7 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
                 vc = resilient::verify_rows_on_device<float>(
                     device, kspan, total_arrays, n, opts.order, expected, row_fail);
                 break;
-            case JobKind::Ragged:  // ascending by contract (validate_job)
+            case JobKind::Ragged:
                 vc = resilient::verify_csr_on_device<float>(
                     device, kspan, fused_offsets, opts.order, expected, row_fail);
                 break;

@@ -124,8 +124,8 @@ struct ServerConfig {
 /// and lands in that shard's queue.  Each shard runs one scheduler thread —
 /// the only toucher of its simt::Device, whose launch path is single-caller
 /// by contract — which coalesces compatible neighbours (same job kind,
-/// geometry and sort options) into fused micro-batches executed through the
-/// batched entry points of core/batch.hpp, with data staged in pooled device
+/// geometry and sort options) into fused micro-batches, each sorted by one
+/// call to the core sorter of its kind, with data staged in pooled device
 /// buffers (serve::BufferPool, one per shard) and modeled H2D/compute/D2H
 /// overlap tracked on a per-shard multi-stream simt::Timeline.  An idle
 /// shard steals bounded runs of queued requests from its most loaded peer,

@@ -373,36 +373,92 @@ TEST(Server, HighPriorityServedFirst) {
 }
 
 TEST(Server, MalformedJobsThrow) {
-    auto dev = make_device();
-    Server server(dev, manual_config());
+    // submit() refuses malformed geometry and options no sorter can run, in
+    // manual-pump and async mode alike, instead of failing later inside
+    // pump() or the scheduler thread; good requests are served afterwards.
+    for (const bool manual : {true, false}) {
+        SCOPED_TRACE(manual ? "manual pump" : "async");
+        auto dev = make_device();
+        ServerConfig cfg;
+        cfg.manual_pump = manual;
+        Server server(dev, cfg);
 
-    Job undersized;
-    undersized.kind = JobKind::Uniform;
-    undersized.num_arrays = 4;
-    undersized.array_size = 64;
-    undersized.values.resize(10);
-    EXPECT_THROW((void)server.submit(std::move(undersized)), std::invalid_argument);
+        Job undersized;
+        undersized.kind = JobKind::Uniform;
+        undersized.num_arrays = 4;
+        undersized.array_size = 64;
+        undersized.values.resize(10);
+        EXPECT_THROW((void)server.submit(std::move(undersized)), std::invalid_argument);
 
-    Job bad_offsets;
-    bad_offsets.kind = JobKind::Ragged;
-    bad_offsets.values.resize(10);
-    bad_offsets.offsets = {0, 7, 5, 10};
-    EXPECT_THROW((void)server.submit(std::move(bad_offsets)), std::invalid_argument);
+        Job bad_offsets;
+        bad_offsets.kind = JobKind::Ragged;
+        bad_offsets.values.resize(10);
+        bad_offsets.offsets = {0, 7, 5, 10};
+        EXPECT_THROW((void)server.submit(std::move(bad_offsets)), std::invalid_argument);
 
-    // The ragged device kernels sort ascending only.
-    Job ragged_descending;
-    ragged_descending.kind = JobKind::Ragged;
-    ragged_descending.values.resize(10);
-    ragged_descending.offsets = {0, 4, 10};
-    ragged_descending.opts.order = gas::SortOrder::Descending;
-    EXPECT_THROW((void)server.submit(std::move(ragged_descending)), std::invalid_argument);
+        Job no_payload;
+        no_payload.kind = JobKind::Pairs;
+        no_payload.num_arrays = 1;
+        no_payload.array_size = 8;
+        no_payload.values.resize(8);
+        EXPECT_THROW((void)server.submit(std::move(no_payload)), std::invalid_argument);
 
-    Job no_payload;
-    no_payload.kind = JobKind::Pairs;
-    no_payload.num_arrays = 1;
-    no_payload.array_size = 8;
-    no_payload.values.resize(8);
-    EXPECT_THROW((void)server.submit(std::move(no_payload)), std::invalid_argument);
+        auto zero_target = uniform_job(2, 64, 1);
+        zero_target.opts.bucket_target = 0;
+        EXPECT_THROW((void)server.submit(std::move(zero_target)), std::invalid_argument);
+
+        Job ragged_zero_target;
+        ragged_zero_target.kind = JobKind::Ragged;
+        ragged_zero_target.values.assign(10, 1.0f);
+        ragged_zero_target.offsets = {0, 4, 10};
+        ragged_zero_target.opts.bucket_target = 0;
+        EXPECT_THROW((void)server.submit(std::move(ragged_zero_target)),
+                     std::invalid_argument);
+
+        auto zero_rate = uniform_job(2, 64, 2);
+        zero_rate.opts.sampling_rate = 0.0;
+        EXPECT_THROW((void)server.submit(std::move(zero_rate)), std::invalid_argument);
+
+        auto good = server.submit(uniform_job(2, 64, 3));
+        if (manual) server.pump();
+        EXPECT_TRUE(good.result.get().ok());
+        server.stop();
+    }
+}
+
+TEST(Server, RaggedDescendingMatchesHostFallback) {
+    // A descending ragged job comes back in the same order from the fused
+    // device kernel as from the host fallback (a memory budget too small
+    // for the job forces the latter).
+    auto ds = workload::make_ragged_dataset(8, 3, 300, workload::Distribution::Normal, 9);
+    const auto serve = [&](double memory_safety_factor) {
+        auto dev = make_device();
+        ServerConfig cfg = manual_config();
+        cfg.memory_safety_factor = memory_safety_factor;
+        cfg.verify_responses = true;
+        Server server(dev, cfg);
+        Job job;
+        job.kind = JobKind::Ragged;
+        job.values = ds.values;
+        job.offsets.assign(ds.offsets.begin(), ds.offsets.end());
+        job.opts.order = gas::SortOrder::Descending;
+        auto ticket = server.submit(std::move(job));
+        server.pump();
+        return ticket.result.get();
+    };
+    const Response device = serve(0.9);
+    const Response host = serve(1e-6);
+    ASSERT_TRUE(device.ok()) << device.error;
+    ASSERT_TRUE(host.ok()) << host.error;
+    EXPECT_FALSE(device.cpu_fallback);
+    EXPECT_TRUE(host.cpu_fallback);
+    EXPECT_EQ(device.values, host.values);
+    for (std::size_t a = 0; a < ds.num_arrays(); ++a) {
+        EXPECT_TRUE(std::is_sorted(
+            device.values.begin() + static_cast<std::ptrdiff_t>(ds.offsets[a]),
+            device.values.begin() + static_cast<std::ptrdiff_t>(ds.offsets[a + 1]),
+            std::greater<float>()));
+    }
 }
 
 TEST(Server, EmptyJobCompletesImmediately) {
