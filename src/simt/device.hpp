@@ -62,20 +62,26 @@ class Device {
 
     /// Runs `body` once per block, functionally simulating the kernel, and
     /// returns modeled + measured cost.  The stats are also appended to the
-    /// device's kernel log.
+    /// device's kernel log.  A one-node graph run through submit()'s
+    /// executor, minus the graph telemetry; defined in graph.cpp.  Throws
+    /// GraphError when called from inside a running graph (a host node or
+    /// kernel body).
     KernelStats launch(const LaunchConfig& cfg, const std::function<void(BlockCtx&)>& body);
 
     /// Executes a whole work graph (simt/graph.hpp) in one scheduling
-    /// round-trip: the worker pool is woken once and stays resident while
-    /// every node — including dynamically enqueued ones — drains.  Each
-    /// kernel node goes through the same validation, fault hooks, per-block
-    /// execution, and block-order aggregation as launch(), so its
-    /// KernelStats (and the kernel log) are bit-identical to the
-    /// equivalent loop of launches.  Defined in graph.cpp.
+    /// round-trip: a team of min(host workers, widest static kernel node's
+    /// grid) workers — the whole pool when the graph has a host node — is
+    /// woken once and stays resident while every node, dynamically enqueued
+    /// ones included, drains.  launch() is this executor over one node, so a
+    /// chain-shaped graph's KernelStats (and the kernel log) are
+    /// bit-identical to the equivalent loop of launches.  Not reentrant:
+    /// throws GraphError when called from inside a running graph.  Defined
+    /// in graph.cpp.
     GraphStats submit(Graph& graph);
 
-    /// Cumulative counters over every submit() on this device, consumed by
-    /// the serve layer's observability ("graph" stats block).
+    /// Cumulative counters over every submit() on this device (launch() does
+    /// not count), consumed by the serve layer's observability ("graph"
+    /// stats block).
     struct GraphTelemetry {
         std::uint64_t graphs = 0;           ///< graphs submitted
         std::uint64_t nodes = 0;            ///< nodes executed (kernel + host)
@@ -176,13 +182,17 @@ class Device {
         return *pool_;
     }
 
-    /// Pre-launch gate shared by launch() and submit(): configuration
-    /// validation plus the fault-injection hooks, in that order, so a
-    /// kernel refused by either never runs a block or logs stats.
+    /// The block executor behind launch() and submit(): runs `graph` to
+    /// completion and leaves its GraphStats in the graph.  Counts no
+    /// telemetry.
+    void execute(Graph& graph);
+    /// Pre-launch gate of every kernel node: configuration validation plus
+    /// the fault-injection hooks, in that order, so a kernel refused by
+    /// either never runs a block or logs stats.
     void check_launch(const LaunchConfig& cfg);
-    /// Post-execution core shared by launch() and submit(): block-order
-    /// aggregation of the per-block records, cost-model finalization, the
-    /// kernel-log append, and the sanitize merge (strict mode throws).
+    /// Post-execution core of every kernel node: block-order aggregation of
+    /// the per-block records, cost-model finalization, the kernel-log
+    /// append, and the sanitize merge (strict mode throws).
     KernelStats finish_launch(const LaunchConfig& cfg,
                               std::vector<detail::BlockRecord>& records,
                               double wall_ms);
@@ -194,6 +204,7 @@ class Device {
     ExecMode exec_mode_ = exec_mode_from_env();
     unsigned host_workers_ = 1;
     std::unique_ptr<ThreadPool> pool_;
+    bool submitting_ = false;  ///< execute() is running a graph
     std::vector<KernelStats> kernel_log_;
     GraphTelemetry graph_telemetry_;
     sanitize::SanitizeOptions sanitize_options_;
@@ -203,7 +214,6 @@ class Device {
     std::function<HangAction()> hang_handler_;
 
     void bump_progress() { progress_ticks_.fetch_add(1, std::memory_order_relaxed); }
-    friend class Graph;  // graph executor publishes node-granular heartbeats
 };
 
 }  // namespace simt

@@ -75,8 +75,10 @@ class DeviceBuffer {
         return {reinterpret_cast<const T*>(device_->memory().translate(offset_)), count_};
     }
 
+    /// Frees an owning buffer's allocation, an empty one's included: the
+    /// allocator gives a zero-byte request a block of its own.
     void release() {
-        if (device_ != nullptr && count_ > 0 && owning_) {
+        if (device_ != nullptr && owning_) {
             device_->memory().deallocate(offset_);
         }
         device_ = nullptr;

@@ -61,9 +61,8 @@ struct GraphStats {
 /// releases its dependents.
 ///
 /// Determinism contract: nodes execute one at a time, ready nodes in
-/// ascending node-id order, and each kernel node runs through the exact
-/// same per-block execution and block-order aggregation core as
-/// Device::launch.  A chain-shaped graph therefore produces a kernel log
+/// ascending node-id order, and Device::launch is a one-node graph through
+/// the same executor.  A chain-shaped graph therefore produces a kernel log
 /// bit-identical (bytes and every deterministic KernelStats field) to the
 /// equivalent loop of launches, for any worker count and exec mode.
 class Graph {
@@ -92,7 +91,8 @@ class Graph {
     /// Adds a host decision node: `fn` runs on the scheduling thread (the
     /// worker pool stays resident) and may enqueue successor nodes through
     /// its GraphCtx.  Host nodes must not call Device::launch or
-    /// Device::submit — they describe work, the graph executes it.
+    /// Device::submit (the device throws GraphError) — they describe work,
+    /// the graph executes it.
     NodeId add_host(std::string name, HostFn fn, std::vector<NodeId> deps = {});
 
     /// Adds the dependency edge from -> to.  Throws GraphError on unknown

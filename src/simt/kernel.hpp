@@ -274,7 +274,8 @@ class BlockCtx {
 
     /// Execution-slot id (0-based), analogous to "which SM slot is this
     /// block resident on": stable across the block's lifetime, unique among
-    /// *concurrently executing* blocks.  Kernels that need a per-resident-
+    /// *concurrently executing* blocks, and below min(host workers, grid
+    /// size).  Kernels that need a per-resident-
     /// block scratch row (e.g. phase 2's global fallback) key it off this,
     /// never off block_idx, so the multi-worker simulator stays race-free.
     [[nodiscard]] unsigned slot() const { return slot_; }

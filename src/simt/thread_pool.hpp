@@ -13,7 +13,8 @@
 
 namespace simt {
 
-/// Persistent host worker pool backing Device::launch.
+/// Persistent host worker pool behind the Device's block executor
+/// (Device::submit, and Device::launch as a one-node submit).
 ///
 /// Spawning and joining a std::thread per launch costs tens of microseconds —
 /// often more than simulating a small grid — and one GPU-ArraySort run issues
@@ -25,7 +26,7 @@ namespace simt {
 ///
 /// Determinism contract: the pool only decides *which worker* runs which
 /// block; everything observable (per-block cost records, aggregation order,
-/// slot numbering) is keyed by block id / worker id in Device::launch exactly
+/// slot numbering) is keyed by block id / worker id in the executor exactly
 /// as it was with per-launch threads, so KernelStats are bit-identical for
 /// any worker count.
 class ThreadPool {
@@ -40,8 +41,9 @@ class ThreadPool {
     /// pool threads, spawned lazily on first use and kept for later runs.
     /// The first exception thrown by any worker (caller included) is
     /// rethrown here after all workers have stopped — identical semantics to
-    /// the old spawn-and-join pool.  Not reentrant: one run at a time
-    /// (Device::launch, the only caller, is itself not thread-safe).
+    /// the old spawn-and-join pool.  Not reentrant: one run at a time (the
+    /// Device executor, the only caller, throws on reentry and is itself
+    /// not thread-safe).
     void run(unsigned workers, const std::function<void(unsigned)>& task);
 
     /// The BlockCtx bound to execution slot `worker`.  During a run, slot w

@@ -10,16 +10,24 @@
 //    chain's graph form (RadixOptions::graph_launch, the default) to its
 //    host loop, in both exec modes.
 //
-// Both sweeps cross both ThreadOrders and sanitizer off/strict, so the warp
-// fast paths' tracked fallbacks, the analytic counter charges, and the
-// graph executor's resident-team protocol are all exercised.  Together they
-// close the square: loop/scalar == loop/warp == graph/scalar == graph/warp.
+// 3. WorkerEquivalence: every workload at 2, 4 and hardware_concurrency
+//    host workers must be bit-identical to its 1-worker run, in both exec
+//    modes: the team size the executor picks per graph, and which worker
+//    claims which block, must never show in bytes or KernelStats.
+//
+// The first two sweeps cross both ThreadOrders and sanitizer off/strict, so
+// the warp fast paths' tracked fallbacks, the analytic counter charges, and
+// the graph executor's resident-team protocol are all exercised.  Together
+// they close the square: loop/scalar == loop/warp == graph/scalar ==
+// graph/warp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -126,6 +134,33 @@ void graph_vs_loop_sweep(F fn) {
                 EXPECT_EQ(loop.first, graph.first);
                 expect_logs_equal(loop.second, graph.second);
             }
+        }
+    }
+}
+
+/// Runs `fn(device, graph)` on the graph path at 1 host worker and at 2, 4
+/// and hardware_concurrency workers, in both exec modes, asserting payload
+/// bytes and kernel logs identical to the 1-worker run.
+template <typename F>
+void worker_sweep(F fn) {
+    const std::set<unsigned> workers = {2u, 4u,
+                                        std::max(std::thread::hardware_concurrency(), 1u)};
+    for (const auto mode : {simt::ExecMode::Scalar, simt::ExecMode::Warp}) {
+        const auto run = [&](unsigned w) {
+            simt::Device dev(simt::tiny_device(256 << 20));
+            dev.set_exec_mode(mode);
+            dev.set_host_workers(w);
+            auto payload = fn(dev, /*graph=*/true);
+            return std::pair{std::move(payload), dev.kernel_log()};
+        };
+        const auto reference = run(1);
+        for (const unsigned w : workers) {
+            if (w == 1) continue;
+            SCOPED_TRACE(std::to_string(w) + " workers, " +
+                         (mode == simt::ExecMode::Warp ? "warp" : "scalar"));
+            const auto parallel = run(w);
+            EXPECT_EQ(reference.first, parallel.first);
+            expect_logs_equal(reference.second, parallel.second);
         }
     }
 }
@@ -392,5 +427,28 @@ TEST(GraphEquivalence, RadixSortU32) {
     graph_vs_loop_sweep(wl_radix_u32<true>);
 }
 TEST(GraphEquivalence, RadixSortByKey) { graph_vs_loop_sweep(wl_radix_by_key); }
+
+// --- 1 worker vs 2, 4 and hardware_concurrency workers (graph path) --------
+
+TEST(WorkerEquivalence, ArraySortFloatWithVerify) { worker_sweep(wl_array_sort_verify); }
+TEST(WorkerEquivalence, ArraySortUint32) { worker_sweep(wl_array_sort_u32); }
+TEST(WorkerEquivalence, ArraySortDescending) { worker_sweep(wl_array_sort_descending); }
+TEST(WorkerEquivalence, ArraySortBinarySearchStrategy) {
+    worker_sweep(wl_array_sort_binary_search);
+}
+TEST(WorkerEquivalence, ArraySortThreadsPerBucket) { worker_sweep(wl_array_sort_tpb); }
+TEST(WorkerEquivalence, SmallArrayFastPath) { worker_sweep(wl_small_array); }
+TEST(WorkerEquivalence, GlobalScratchFallback) { worker_sweep(wl_global_scratch); }
+TEST(WorkerEquivalence, PairSort) { worker_sweep(wl_pair_sort); }
+TEST(WorkerEquivalence, RaggedSort) { worker_sweep(wl_ragged_sort); }
+TEST(WorkerEquivalence, RaggedPairSort) { worker_sweep(wl_ragged_pair_sort); }
+TEST(WorkerEquivalence, HybridSkewArraySort) { worker_sweep(wl_hybrid_skew_array); }
+TEST(WorkerEquivalence, HybridSkewRaggedSort) { worker_sweep(wl_hybrid_skew_ragged); }
+TEST(WorkerEquivalence, HybridSkewPairSort) { worker_sweep(wl_hybrid_skew_pair); }
+TEST(WorkerEquivalence, RadixSortU32) {
+    worker_sweep(wl_radix_u32<false>);
+    worker_sweep(wl_radix_u32<true>);
+}
+TEST(WorkerEquivalence, RadixSortByKey) { worker_sweep(wl_radix_by_key); }
 
 }  // namespace

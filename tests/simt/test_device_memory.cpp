@@ -153,6 +153,26 @@ TEST(DeviceBuffer, MoveTransfersOwnership) {
     EXPECT_EQ(dev.memory().allocation_count(), 1u);
 }
 
+TEST(DeviceBuffer, EmptyOwningBufferReleasesItsBlock) {
+    // A zero-byte request still takes an allocator block; destroying the
+    // empty buffer, or the buffer it was moved into, must give it back.
+    simt::Device dev(simt::tiny_device(1 << 20));
+    {
+        simt::DeviceBuffer<float> empty(dev, 0);
+        EXPECT_TRUE(empty.empty());
+    }
+    EXPECT_EQ(dev.memory().bytes_in_use(), 0u);
+    {
+        simt::DeviceBuffer<float> src(dev, 0);
+        simt::DeviceBuffer<float> dst(std::move(src));
+        simt::DeviceBuffer<float> assigned;
+        assigned = std::move(dst);
+        EXPECT_EQ(dev.memory().allocation_count(), 1u);
+    }
+    EXPECT_EQ(dev.memory().bytes_in_use(), 0u);
+    EXPECT_EQ(dev.memory().allocation_count(), 0u);
+}
+
 TEST(DeviceBuffer, HostDeviceRoundTrip) {
     simt::Device dev(simt::tiny_device(1 << 20));
     std::vector<float> host = {3.0f, 1.0f, 2.0f};

@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <stdexcept>
-#include <tuple>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "simt/device.hpp"
@@ -255,6 +258,108 @@ TEST(Graph, TelemetryAccumulatesAcrossSubmits) {
     EXPECT_EQ(dev.kernel_log().size(), 4u);
     dev.clear_graph_telemetry();
     EXPECT_EQ(dev.graph_telemetry().graphs, 0u);
+}
+
+TEST(Graph, LaunchLeavesGraphTelemetryUnchanged) {
+    // Device::launch runs a one-node graph through submit's executor, but
+    // graph telemetry counts only submitted graphs.
+    for (const unsigned workers : {1u, 4u}) {
+        Device dev(simt::tiny_device(1 << 20), simt::DeviceMemory::Mode::Backed, workers);
+        dev.launch({"before", 4, 4}, [](BlockCtx&) {});
+        EXPECT_EQ(dev.graph_telemetry().graphs, 0u);
+        EXPECT_EQ(dev.graph_telemetry().nodes, 0u);
+        Graph g;
+        g.add_kernel({"k", 2, 2}, [](BlockCtx&) {});
+        dev.submit(g);
+        for (int i = 0; i < 3; ++i) dev.launch({"after", 8, 4}, [](BlockCtx&) {});
+        const auto& t = dev.graph_telemetry();
+        EXPECT_EQ(t.graphs, 1u);
+        EXPECT_EQ(t.nodes, 1u);
+        EXPECT_EQ(t.kernel_nodes, 1u);
+        EXPECT_EQ(dev.kernel_log().size(), 5u);
+    }
+}
+
+TEST(Graph, SubmitTeamClampsToWidestNode) {
+    // A chain of 2-block nodes at 16 workers: the team is sized by the
+    // widest node, so only two threads ever run blocks and every block sees
+    // a slot below the grid.  Mirrors ParallelLaunch.WorkerCountClampsToGrid.
+    Device dev(simt::tiny_device(1 << 20), simt::DeviceMemory::Mode::Backed, 16);
+    std::mutex m;
+    std::set<std::thread::id> runners;
+    std::atomic<unsigned> max_slot{0};
+    std::atomic<int> ran{0};
+    const auto body = [&](BlockCtx& blk) {
+        unsigned seen = max_slot.load();
+        while (blk.slot() > seen && !max_slot.compare_exchange_weak(seen, blk.slot())) {
+        }
+        {
+            const std::scoped_lock lock(m);
+            runners.insert(std::this_thread::get_id());
+        }
+        ++ran;
+    };
+    Graph g;
+    Graph::NodeId prev = g.add_kernel({"pair", 2, 1}, body);
+    for (int k = 1; k < 32; ++k) prev = g.add_kernel({"pair", 2, 1}, body, {prev});
+    dev.submit(g);
+    EXPECT_EQ(ran.load(), 64);
+    EXPECT_LT(max_slot.load(), 2u);
+    EXPECT_LE(runners.size(), 2u);
+}
+
+TEST(Graph, SlotsStayBelowEachNodesGrid) {
+    // A host node wakes the whole team, yet a 2-block node still numbers its
+    // slots 0 and 1: kernels size per-slot scratch by min(workers, grid)
+    // (phase 2's global-scratch rows), so a slot past the grid would share
+    // a row with a concurrent block.
+    Device dev(simt::tiny_device(1 << 20), simt::DeviceMemory::Mode::Backed, 8);
+    std::atomic<unsigned> max_slot{0};
+    const auto body = [&](BlockCtx& blk) {
+        unsigned seen = max_slot.load();
+        while (blk.slot() > seen && !max_slot.compare_exchange_weak(seen, blk.slot())) {
+        }
+    };
+    Graph g;
+    g.add_host("fan", [&](GraphCtx& ctx) {
+        Graph::NodeId prev = ctx.self();
+        for (int k = 0; k < 32; ++k) prev = ctx.enqueue_kernel({"pair", 2, 1}, body, {prev});
+    });
+    dev.submit(g);
+    EXPECT_EQ(dev.kernel_log().size(), 32u);
+    EXPECT_LT(max_slot.load(), 2u);
+}
+
+TEST(Graph, ReentrantLaunchOrSubmitThrowsInsteadOfHanging) {
+    // A host node or kernel body calling back into the device it runs on
+    // would wait on its own worker team; the executor refuses instead, at
+    // any worker count, and the device stays usable.
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        Device dev(simt::tiny_device(1 << 20), simt::DeviceMemory::Mode::Backed, workers);
+        Graph launches;
+        launches.add_host("reenter", [&dev](GraphCtx&) {
+            dev.launch({"inner", 4, 1}, [](BlockCtx&) {});
+        });
+        EXPECT_THROW(dev.submit(launches), GraphError);
+
+        Graph inner;
+        inner.add_kernel({"inner", 4, 1}, [](BlockCtx&) {});
+        Graph submits;
+        submits.add_host("reenter", [&](GraphCtx&) { dev.submit(inner); });
+        EXPECT_THROW(dev.submit(submits), GraphError);
+
+        EXPECT_THROW(dev.launch({"body", 4, 1},
+                                [&dev](BlockCtx&) {
+                                    dev.launch({"nested", 1, 1}, [](BlockCtx&) {});
+                                }),
+                     GraphError);
+
+        EXPECT_EQ(dev.graph_telemetry().graphs, 0u);
+        EXPECT_TRUE(dev.kernel_log().empty());
+        EXPECT_EQ(dev.launch({"ok", 4, 4}, [](BlockCtx&) {}).grid_dim, 4u);
+        EXPECT_EQ(dev.submit(inner).kernel_nodes, 1u);
+    }
 }
 
 TEST(Graph, KernelExceptionPropagatesAndTeamSurvives) {
